@@ -78,7 +78,7 @@ def main() -> None:
     print(f"Total cost           : {solution.total_cost():.2f}")
     print(f"LP lower bound (OPT>=): {report.lp_lower_bound:.2f}")
     print(f"Cost ratio           : {report.cost_ratio:.3f}")
-    print(f"(paper bound: c*log n = {report.rounded.multiplier:.1f})")
+    print(f"(paper bound: c*log n = {report.multiplier:.1f})")
 
     print("\n=== Paper guarantees on this run ===")
     for check in check_paper_guarantees(problem, report):

@@ -5,7 +5,7 @@
 * :mod:`repro.analysis.metrics` -- cost/reliability metrics and cross-
   algorithm comparisons;
 * :mod:`repro.analysis.tables` -- plain-text / CSV table formatting used by
-  the benchmark harness and EXPERIMENTS.md;
+  the benchmark harness and its ``benchmarks/results/`` tables;
 * :mod:`repro.analysis.experiments` -- parameter sweeps and seed aggregation
   shared by the benchmarks and the ``examples/`` scripts;
 * :mod:`repro.analysis.runner` -- the experiment-orchestration subsystem:

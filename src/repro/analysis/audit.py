@@ -137,7 +137,7 @@ def check_paper_guarantees(
     )
     # The cost bound the paper proves is in expectation; we check against the
     # actually-used multiplier (c log n), with a factor 2 for the GAP doubling.
-    cost_bound = 2.0 * report.rounded.multiplier
+    cost_bound = 2.0 * report.multiplier
     checks.append(
         GuaranteeCheck(
             name="cost <= 2 c log n * OPT_LP",

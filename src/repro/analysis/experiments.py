@@ -4,7 +4,7 @@ Because the paper's guarantees are probabilistic ("with high probability") and
 asymptotic ("O(log n)"), validating them requires running the pipeline over
 many random instances and seeds and aggregating the measured quantities.
 These helpers centralise that loop so the benchmark files stay small and the
-numbers in EXPERIMENTS.md are regenerated by exactly one code path.
+numbers under ``benchmarks/results/`` are regenerated by exactly one code path.
 
 Sweeps execute through :func:`repro.analysis.runner.execute_tasks`, so passing
 ``jobs > 1`` fans the per-seed units out over worker processes.  Results are
@@ -79,7 +79,7 @@ def run_design(
         "lp_lower_bound": report.lp_lower_bound,
         "total_cost": report.solution.total_cost(),
         "cost_ratio": report.cost_ratio,
-        "multiplier": report.rounded.multiplier,
+        "multiplier": report.multiplier,
         "min_weight_fraction": audit.min_weight_fraction,
         "max_fanout_factor": audit.max_fanout_factor,
         "unserved_demands": audit.unserved_demands,

@@ -165,7 +165,7 @@ def t1_task(task: dict) -> dict:
         "demands": sinks,
         "seed": task["seed"],
         "cost_ratio": row["cost_ratio"],
-        "paper_bound_2clogn": 2.0 * report.rounded.multiplier,
+        "paper_bound_2clogn": 2.0 * report.multiplier,
         "elapsed_seconds": row["elapsed_seconds"],
     }
 
@@ -922,7 +922,7 @@ def c1_task(task: dict) -> list[dict]:
         extra_metrics={"simulated_mean_loss": simulated_loss},
     )
     for row in rows:
-        row["rounding_multiplier"] = report.rounded.multiplier
+        row["rounding_multiplier"] = report.multiplier
     return rows
 
 

@@ -105,10 +105,8 @@ class PipelineContext:
         """
         return {
             "solution": self.solution,
-            "fractional": self.fractional,
-            "rounded": self.rounded,
-            "rounding_audit": self.rounding_audit,
-            "gap": self.gap,
+            "lp_lower_bound": self.lp_lower_bound,
+            "multiplier": self.rounded.multiplier,
             "formulation_size": (
                 self.formulation.num_variables,
                 self.formulation.num_constraints,

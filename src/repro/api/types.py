@@ -233,8 +233,10 @@ class DesignResult:
     request_id:
         Echo of the request's correlation id.
     report:
-        The full in-memory :class:`~repro.core.algorithm.DesignReport` for
+        The in-memory :class:`~repro.core.algorithm.DesignReport` for
         pipeline strategies (never serialized; ``None`` after a round-trip).
+        It carries the LP bound, multiplier and stage times, not the
+        pipeline's intermediate results.
     """
 
     strategy: str
@@ -417,9 +419,9 @@ def request_from_dict(data: dict[str, Any]) -> DesignRequest:
 def result_to_dict(result: DesignResult) -> dict[str, Any]:
     """Encode a result as a JSON-compatible document.
 
-    The in-memory ``report`` is intentionally dropped (it holds the full LP
-    and rounding state); everything else -- including stage timings and every
-    audit field -- round-trips through :func:`result_from_dict`.
+    The in-memory ``report`` is intentionally dropped; everything else --
+    including stage timings and every audit field -- round-trips through
+    :func:`result_from_dict`.
     """
     return {
         "schema_version": SCHEMA_VERSION,

@@ -14,8 +14,10 @@ paper exactly:
    requirement using spare fanout ("heuristics based on the algorithm",
    Section 7).
 
-Every stage's intermediate result and wall-clock time is recorded in the
-returned :class:`DesignReport`, which is what the benchmark harness consumes.
+The returned :class:`DesignReport` records the LP bound, the rounding
+multiplier and every stage's wall-clock time, which is what the benchmark
+harness consumes; the intermediate results themselves stay on the pipeline
+context.
 
 Since the :mod:`repro.api` redesign the stages themselves live in
 :mod:`repro.api.pipeline` as swappable stage objects; :func:`design_overlay`
@@ -41,10 +43,8 @@ from repro.core.formulation import (
     build_formulation,
     build_sparse_formulation,
 )
-from repro.core.gap import GapResult
-from repro.core.lp_solution import FractionalSolution, RoundedSolution
 from repro.core.problem import OverlayDesignProblem
-from repro.core.rounding import RoundingAudit, RoundingParameters
+from repro.core.rounding import RoundingParameters
 from repro.core.solution import OverlaySolution
 from repro.lp import LPBuildStats
 
@@ -129,15 +129,12 @@ class DesignReport:
     ----------
     solution:
         The final integral overlay design.
-    fractional:
-        The optimal LP solution (its objective is the lower bound used for
+    lp_lower_bound:
+        Objective of the optimal LP solution (the lower bound used for
         approximation-ratio measurements).
-    rounded:
-        The state after Section-3 rounding.
-    rounding_audit:
-        Weight / fanout violation audit of the accepted rounding draw.
-    gap:
-        The Section-5 GAP result.
+    multiplier:
+        The Section-3 rounding's inflation factor ``max(c log n, 1)``; the
+        paper bounds the cost ratio by ``2 * multiplier``.
     formulation_size:
         (num variables, num constraints) of the LP.
     stage_seconds:
@@ -153,24 +150,21 @@ class DesignReport:
         Constraint-violation audit of the final solution, produced by the
         pipeline's audit stage (:class:`repro.analysis.audit.SolutionAudit`).
         Consumers should reuse it instead of re-running ``audit_solution``.
-    lp_lower_bound:
-        Alias for ``fractional.objective``.
+
+    The report holds no pipeline intermediates (fractional solution, rounding
+    draw, GAP result), so keeping many reports alive stays cheap; they remain
+    on the :class:`repro.api.PipelineContext` that ``DesignPipeline.run``
+    returns.
     """
 
     solution: OverlaySolution
-    fractional: FractionalSolution
-    rounded: RoundedSolution
-    rounding_audit: RoundingAudit
-    gap: GapResult
+    lp_lower_bound: float
+    multiplier: float
     formulation_size: tuple[int, int]
     stage_seconds: dict[str, float]
     rounding_attempts: int
     lp_build_stats: "LPBuildStats | None" = None
     solution_audit: "SolutionAudit | None" = None
-
-    @property
-    def lp_lower_bound(self) -> float:
-        return self.fractional.objective
 
     @property
     def cost_ratio(self) -> float:

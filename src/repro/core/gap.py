@@ -29,15 +29,18 @@ the target).
 
 Implementation notes
 ---------------------
-* All capacities are doubled so the min-cost max-flow solver
-  (:func:`repro.flow.min_cost_max_flow`) works with integers; dividing by two
-  recovers the paper's half-integral flow.
+* All capacities are doubled so the network is integral; dividing by two
+  recovers the paper's half-integral flow.  Integral capacities make the
+  incidence matrix totally unimodular, so :func:`repro.flow.min_cost_max_flow`
+  solves the min-cost max flow as one HiGHS LP (max-flow value from
+  :func:`scipy.sparse.csgraph.maximum_flow`, then a dual-simplex solve at that
+  value) and gets an integral vertex back.
 * Degenerate box counts: if ``sum_i x_bar_ij < 1`` the paper's rule would give
   zero boxes after dropping the last one, which would leave the demand
   entirely unserved.  We keep a single box in that case (and only drop the
   last box when ``s_j >= 2``); this is a strict improvement in delivered
-  weight and never hurts the other guarantees.  The deviation is recorded in
-  EXPERIMENTS.md.
+  weight and never hurts the other guarantees.  ``keep_degenerate_box=False``
+  follows the paper literally.
 * Costs: the per-unit cost of the ``i -> (i, j)`` edge is half the assignment
   cost, so that the doubled flow pays exactly the assignment cost when a pair
   is fully used and half of it when it is used "halfway" (the paper accounts
@@ -85,6 +88,8 @@ class GapNetwork:
     pair_edge: dict[AssignmentKey, int]
     #: edge ids of pair -> box edges, per assignment key
     pair_box_edges: dict[AssignmentKey, list[int]] = field(default_factory=dict)
+    #: edge id of each box's box -> T edge, aligned with ``boxes``
+    box_edges: list[int] = field(default_factory=list)
     #: total (doubled) demand, i.e. number of boxes
     total_demand: int = 0
 
@@ -180,8 +185,8 @@ def build_gap_network(
 ) -> GapNetwork:
     """Build the (doubled-capacity) Figure-2 network from a rounded solution."""
     net = FlowNetwork()
-    source = net.add_node("s")
-    sink = net.add_node("T")
+    source = net.add_node()
+    sink = net.add_node()
 
     # Group surviving x_bar values by demand.
     by_demand: dict[tuple[str, str], list[tuple[str, float, float]]] = {}
@@ -196,7 +201,7 @@ def build_gap_network(
     reflector_nodes: dict[str, int] = {}
     for (reflector, _demand_key) in rounded.x:
         if reflector not in reflector_nodes:
-            reflector_nodes[reflector] = net.add_node(("reflector", reflector))
+            reflector_nodes[reflector] = net.add_node()
             net.add_edge(
                 source,
                 reflector_nodes[reflector],
@@ -207,7 +212,7 @@ def build_gap_network(
     boxes: list[WeightBox] = []
     pair_edge: dict[AssignmentKey, int] = {}
     pair_box_edges: dict[AssignmentKey, list[int]] = {}
-    total_demand = 0
+    box_edges: list[int] = []
 
     for demand_key, entries in by_demand.items():
         demand = demand_lookup[demand_key]
@@ -222,15 +227,14 @@ def build_gap_network(
         # Level 4/5: box nodes and their edges to the super sink.
         box_nodes: list[int] = []
         for box in demand_boxes:
-            node = net.add_node(("box", demand_key, box.index))
-            net.add_edge(node, sink, capacity=1.0, cost=0.0)  # 1/2 doubled
+            node = net.add_node()
+            box_edges.append(net.add_edge(node, sink, capacity=1.0, cost=0.0))  # 1/2 doubled
             box_nodes.append(node)
             boxes.append(box)
-            total_demand += 1
         # Level 3: (reflector, demand) pair nodes.
         for reflector, weight, value in entries:
             key: AssignmentKey = (reflector, demand_key)
-            pair_node = net.add_node(("pair", reflector, demand_key))
+            pair_node = net.add_node()
             cost = problem.assignment_cost(demand, reflector) / 2.0
             pair_edge[key] = net.add_edge(
                 reflector_nodes[reflector], pair_node, capacity=2.0, cost=cost
@@ -248,7 +252,8 @@ def build_gap_network(
         boxes=boxes,
         pair_edge=pair_edge,
         pair_box_edges=pair_box_edges,
-        total_demand=total_demand,
+        box_edges=box_edges,
+        total_demand=len(boxes),
     )
 
 
@@ -265,12 +270,7 @@ def solve_gap(problem: OverlayDesignProblem, gap: GapNetwork) -> GapResult:
             reflector, (sink_name, stream) = key
             cost += problem.delivery_cost(reflector, sink_name, stream)
 
-    # Count saturated boxes by inspecting box -> T edges.
-    boxes_served = 0
-    for edge in gap.network.edges():
-        label = gap.network.label_of(edge.head)
-        if label == "T" and gap.network.flow_on(edge.edge_id) > 0.5:
-            boxes_served += 1
+    boxes_served = sum(gap.network.flow_on(edge_id) > 0.5 for edge_id in gap.box_edges)
 
     return GapResult(
         assignments=assignments,

@@ -36,8 +36,8 @@ guarantee shape* with a simpler, empirically-verified scheme:
 
 The T6 benchmark measures the resulting violation factors; across the
 evaluation workloads they stay well inside the paper's constants (7 for
-constraints, 14 for cost).  This substitution is recorded in DESIGN.md /
-EXPERIMENTS.md.
+constraints, 14 for cost); its results are in
+``benchmarks/results/T6_color_constraints.txt``.
 """
 
 from __future__ import annotations

@@ -182,10 +182,9 @@ class OverlayDesignProblem:
         """
         if reflector in self._reflectors:
             raise ValueError(f"reflector {reflector!r} already exists")
-        if cost < 0:
-            raise ValueError(f"reflector cost must be non-negative, got {cost}")
-        if fanout <= 0:
-            raise ValueError(f"reflector fanout must be positive, got {fanout}")
+        _check_cost(cost, "reflector cost")
+        if not math.isfinite(fanout) or fanout != int(fanout) or fanout <= 0:
+            raise ValueError(f"reflector fanout must be a positive integer, got {fanout}")
         if capacity is not None and capacity <= 0:
             raise ValueError(f"reflector capacity must be positive, got {capacity}")
         self._reflector_order[reflector] = len(self._reflectors)
@@ -207,8 +206,7 @@ class OverlayDesignProblem:
         self._require_stream(stream)
         self._require_reflector(reflector)
         _check_probability(loss_probability)
-        if cost < 0:
-            raise ValueError(f"edge cost must be non-negative, got {cost}")
+        _check_cost(cost, "edge cost")
         key = (stream, reflector)
         if key in self._stream_edges:
             raise ValueError(f"stream edge {key} already exists")
@@ -234,8 +232,7 @@ class OverlayDesignProblem:
         self._require_reflector(reflector)
         self._require_sink(sink)
         _check_probability(loss_probability)
-        if cost < 0:
-            raise ValueError(f"edge cost must be non-negative, got {cost}")
+        _check_cost(cost, "edge cost")
         key = (reflector, sink)
         if key in self._delivery_links:
             raise ValueError(f"delivery edge {key} already exists")
@@ -510,6 +507,11 @@ class OverlayDesignProblem:
             f"reflectors={self.num_reflectors}, sinks={self.num_sinks}, "
             f"demands={self.num_demands})"
         )
+
+
+def _check_cost(value: float, what: str) -> None:
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"{what} must be finite and non-negative, got {value}")
 
 
 def _check_probability(value: float) -> None:

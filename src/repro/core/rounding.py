@@ -217,11 +217,22 @@ class RoundingAudit:
 def audit_rounding(
     problem: OverlayDesignProblem, rounded: RoundedSolution
 ) -> RoundingAudit:
-    """Measure the weight and fanout constraint violations of a rounding draw."""
+    """Measure the weight and fanout constraint violations of a rounding draw.
+
+    Linear in the support of ``rounded.x``: it is grouped by demand once, in
+    insertion order, so each delivered weight sums exactly the terms of
+    :meth:`RoundedSolution.delivered_weight` in the same order.
+    """
+    support: dict[tuple[str, str], list[tuple[str, float]]] = {}
+    for (reflector, key), value in rounded.x.items():
+        if value > 0:
+            support.setdefault(key, []).append((reflector, value))
     weight_fraction: dict[tuple[str, str], float] = {}
     for demand in problem.demands:
         required = problem.demand_weight(demand)
-        delivered = rounded.delivered_weight(problem, demand)
+        delivered = 0.0
+        for reflector, value in support.get(demand.key, ()):
+            delivered += value * problem.edge_weight(demand, reflector)
         weight_fraction[demand.key] = delivered / required if required > 0 else 1.0
 
     fanout_factor: dict[str, float] = {}

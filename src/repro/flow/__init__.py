@@ -1,32 +1,24 @@
 """Flow-network substrate.
 
-This subpackage implements the flow machinery required by the modified
+This subpackage holds the flow machinery required by the modified
 generalized-assignment (GAP) rounding stage of the SPAA'03 overlay design
-algorithm (Section 5 of the paper, Figure 2), as well as by the
-Srinivasan--Teo style path rounding used for the Section 6 extensions.
-
-It is a self-contained substrate: graphs, maximum flow (Dinic) and
-minimum-cost flow (successive shortest augmenting paths with potentials) are
-implemented here from scratch; :mod:`networkx` is only used in the test suite
-as an independent oracle.
+algorithm (Section 5 of the paper, Figure 2): a flat edge-array network and a
+min-cost max-flow solve that hands the network to HiGHS as one LP (exact,
+because the incidence matrix of an integral-capacity network is totally
+unimodular).
 
 Public API
 ----------
 ``FlowNetwork``
-    Mutable directed flow network with capacities and per-unit costs.
-``max_flow``
-    Dinic's algorithm; returns the flow value and per-edge flows.
-``min_cost_flow``
-    Successive-shortest-path min-cost flow for a given supply/demand vector.
+    Directed flow network with capacities, per-unit costs and a stored flow.
 ``min_cost_max_flow``
     Maximum flow of minimum cost between two terminals.
 ``FlowResult``
-    Result container (value, cost, per-edge flow, per-node excess).
+    Result container (flow value and cost).
 """
 
-from repro.flow.graph import Edge, FlowNetwork
-from repro.flow.maxflow import max_flow
-from repro.flow.mincost import FlowResult, min_cost_flow, min_cost_max_flow
+from repro.flow.graph import FlowNetwork
+from repro.flow.solve import FlowResult, min_cost_max_flow
 from repro.flow.validation import (
     assert_feasible_flow,
     flow_conservation_violations,
@@ -34,11 +26,8 @@ from repro.flow.validation import (
 )
 
 __all__ = [
-    "Edge",
     "FlowNetwork",
     "FlowResult",
-    "max_flow",
-    "min_cost_flow",
     "min_cost_max_flow",
     "assert_feasible_flow",
     "flow_conservation_violations",

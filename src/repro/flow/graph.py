@@ -1,62 +1,26 @@
-"""Directed flow-network representation.
+"""Directed flow network stored as parallel per-edge arrays.
 
-The representation follows the classic residual-pair layout used by
-competitive-programming style flow solvers: every edge added by the user
-creates a *forward* arc with the given capacity and cost and a paired
-*backward* arc with zero capacity and negated cost.  The two arcs are stored
-at consecutive indices so that ``edge_id ^ 1`` is always the reverse arc.
-
-The structure is intentionally small and allocation-friendly: all per-edge
-attributes live in parallel Python lists (converted to numpy arrays on demand
-by the solvers), and nodes are referred to by integer indices.  Hashable user
-labels are supported through an internal name table, which is what the GAP
-network construction in :mod:`repro.core.gap` uses ("source", reflector ids,
-(reflector, sink) pair tuples, per-sink box tuples, "sink").
+The Figure-2 network of :mod:`repro.core.gap` is built edge by edge and then
+handed whole to an LP solver (:func:`repro.flow.solve.min_cost_max_flow`), so
+the container keeps only what that solve reads and writes: per edge its tail,
+head, capacity, per-unit cost and flow.  Nodes are integer indices and an edge
+id is the edge's position in the arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator
-
-
-@dataclass(frozen=True)
-class Edge:
-    """Read-only view of a user-added edge.
-
-    Attributes
-    ----------
-    edge_id:
-        Identifier of the forward arc; pass to :meth:`FlowNetwork.flow_on`.
-    tail, head:
-        Integer node indices.
-    capacity:
-        Original (non-residual) capacity.
-    cost:
-        Per-unit cost of sending flow along the edge.
-    data:
-        Arbitrary user payload attached at :meth:`FlowNetwork.add_edge` time.
-    """
-
-    edge_id: int
-    tail: int
-    head: int
-    capacity: float
-    cost: float
-    data: object = None
+import math
 
 
 class FlowNetwork:
-    """A mutable directed graph with edge capacities and per-unit costs.
+    """A directed graph with edge capacities, per-unit costs and a stored flow.
 
-    Nodes may be created anonymously (:meth:`add_node`) or by hashable label
-    (:meth:`node`).  Edges are directed; parallel edges and self-loops are
-    allowed (self-loops never carry flow in any of the solvers).
+    Parallel edges and self-loops are allowed; self-loops never carry flow.
 
     Examples
     --------
     >>> net = FlowNetwork()
-    >>> s, a, t = net.node("s"), net.node("a"), net.node("t")
+    >>> s, a, t = net.add_node(), net.add_node(), net.add_node()
     >>> _ = net.add_edge(s, a, capacity=2.0, cost=1.0)
     >>> _ = net.add_edge(a, t, capacity=1.0, cost=0.0)
     >>> net.num_nodes, net.num_edges
@@ -64,166 +28,45 @@ class FlowNetwork:
     """
 
     def __init__(self) -> None:
-        # Residual arrays: index e is an arc, e ^ 1 its reverse.
-        self._arc_head: list[int] = []
-        self._arc_cap: list[float] = []
-        self._arc_cost: list[float] = []
-        # Adjacency: node -> list of arc indices leaving it.
-        self._adj: list[list[int]] = []
-        # Bookkeeping for user edges (forward arcs only).
-        self._edge_tail: list[int] = []
-        self._edge_data: list[object] = []
-        self._labels: dict[Hashable, int] = {}
-        self._label_of: list[Hashable | None] = []
-
-    # ------------------------------------------------------------------ nodes
-    @property
-    def num_nodes(self) -> int:
-        """Number of nodes currently in the network."""
-        return len(self._adj)
+        self.num_nodes = 0
+        self.tail: list[int] = []
+        self.head: list[int] = []
+        self.capacity: list[float] = []
+        self.cost: list[float] = []
+        #: Flow per edge; all zero until a solver writes it.
+        self.flow: list[float] = []
 
     @property
     def num_edges(self) -> int:
-        """Number of user-added (forward) edges."""
-        return len(self._arc_head) // 2
+        return len(self.tail)
 
-    def add_node(self, label: Hashable | None = None) -> int:
-        """Add a node and return its integer index.
+    def add_node(self) -> int:
+        """Add a node and return its integer index."""
+        self.num_nodes += 1
+        return self.num_nodes - 1
 
-        If ``label`` is given it must be unused; the node becomes addressable
-        through :meth:`node` afterwards.
-        """
-        if label is not None and label in self._labels:
-            raise ValueError(f"node label {label!r} already exists")
-        idx = len(self._adj)
-        self._adj.append([])
-        self._label_of.append(label)
-        if label is not None:
-            self._labels[label] = idx
-        return idx
-
-    def node(self, label: Hashable) -> int:
-        """Return the index of the node with ``label``, creating it if needed."""
-        if label in self._labels:
-            return self._labels[label]
-        return self.add_node(label)
-
-    def has_label(self, label: Hashable) -> bool:
-        """Whether a node with the given label exists."""
-        return label in self._labels
-
-    def label_of(self, node: int) -> Hashable | None:
-        """Return the label of ``node`` (``None`` for anonymous nodes)."""
-        return self._label_of[node]
-
-    # ------------------------------------------------------------------ edges
-    def add_edge(
-        self,
-        tail: int,
-        head: int,
-        capacity: float,
-        cost: float = 0.0,
-        data: object = None,
-    ) -> int:
-        """Add a directed edge and return its edge id.
-
-        Parameters
-        ----------
-        tail, head:
-            Integer node indices (as returned by :meth:`add_node` / :meth:`node`).
-        capacity:
-            Non-negative capacity.
-        cost:
-            Per-unit cost; may be negative (the min-cost solver handles it via
-            an initial Bellman-Ford potential pass).
-        data:
-            Arbitrary payload retrievable through :meth:`edge`.
-        """
-        if capacity < 0:
-            raise ValueError(f"capacity must be non-negative, got {capacity}")
+    def add_edge(self, tail: int, head: int, capacity: float, cost: float = 0.0) -> int:
+        """Add a directed edge with a non-negative capacity; return its edge id."""
+        if not capacity >= 0 or math.isinf(capacity):
+            raise ValueError(f"capacity must be finite and non-negative, got {capacity}")
+        if not math.isfinite(cost):
+            raise ValueError(f"cost must be finite, got {cost}")
         if not (0 <= tail < self.num_nodes) or not (0 <= head < self.num_nodes):
             raise IndexError("tail/head out of range; add nodes first")
-        arc = len(self._arc_head)
-        # forward arc
-        self._arc_head.append(head)
-        self._arc_cap.append(float(capacity))
-        self._arc_cost.append(float(cost))
-        self._adj[tail].append(arc)
-        # backward (residual) arc
-        self._arc_head.append(tail)
-        self._arc_cap.append(0.0)
-        self._arc_cost.append(-float(cost))
-        self._adj[head].append(arc + 1)
+        self.tail.append(tail)
+        self.head.append(head)
+        self.capacity.append(float(capacity))
+        self.cost.append(float(cost))
+        self.flow.append(0.0)
+        return len(self.tail) - 1
 
-        self._edge_tail.append(tail)
-        self._edge_data.append(data)
-        return arc
-
-    def edge(self, edge_id: int) -> Edge:
-        """Return a read-only view of the user edge with id ``edge_id``."""
-        if edge_id % 2 != 0 or edge_id >= len(self._arc_head):
-            raise KeyError(f"{edge_id} is not a user edge id")
-        user_index = edge_id // 2
-        return Edge(
-            edge_id=edge_id,
-            tail=self._edge_tail[user_index],
-            head=self._arc_head[edge_id],
-            capacity=self._arc_cap[edge_id] + self._arc_cap[edge_id ^ 1],
-            cost=self._arc_cost[edge_id],
-            data=self._edge_data[user_index],
-        )
-
-    def edges(self) -> Iterator[Edge]:
-        """Iterate over all user edges."""
-        for user_index in range(self.num_edges):
-            yield self.edge(2 * user_index)
-
-    def out_arcs(self, node: int) -> Iterable[int]:
-        """Residual arcs (forward and backward) leaving ``node``."""
-        return self._adj[node]
-
-    # -------------------------------------------------------------- flow state
     def flow_on(self, edge_id: int) -> float:
-        """Current flow on the user edge ``edge_id``.
+        """Current flow on edge ``edge_id``."""
+        return self.flow[edge_id]
 
-        The flow equals the residual capacity accumulated on the backward arc.
-        """
-        if edge_id % 2 != 0:
-            raise KeyError(f"{edge_id} is not a user edge id")
-        return self._arc_cap[edge_id ^ 1]
-
-    def residual_capacity(self, arc: int) -> float:
-        """Residual capacity of arc ``arc`` (forward or backward)."""
-        return self._arc_cap[arc]
-
-    def reset_flow(self) -> None:
-        """Reset all flow to zero, restoring original capacities."""
-        for user_index in range(self.num_edges):
-            fwd = 2 * user_index
-            bwd = fwd + 1
-            total = self._arc_cap[fwd] + self._arc_cap[bwd]
-            self._arc_cap[fwd] = total
-            self._arc_cap[bwd] = 0.0
-
-    # Internal mutation helpers used by the solvers --------------------------
-    def _push(self, arc: int, amount: float) -> None:
-        self._arc_cap[arc] -= amount
-        self._arc_cap[arc ^ 1] += amount
-
-    def _arc_target(self, arc: int) -> int:
-        return self._arc_head[arc]
-
-    def _arc_cost_of(self, arc: int) -> float:
-        return self._arc_cost[arc]
-
-    # ------------------------------------------------------------------ misc
     def total_flow_cost(self) -> float:
-        """Cost of the currently stored flow (sum of flow * cost per edge)."""
-        return sum(self.flow_on(2 * i) * self._arc_cost[2 * i] for i in range(self.num_edges))
-
-    def flows(self) -> dict[int, float]:
-        """Mapping from user edge id to current flow."""
-        return {2 * i: self.flow_on(2 * i) for i in range(self.num_edges)}
+        """Cost of the stored flow (sum of flow * cost per edge)."""
+        return sum(flow * cost for flow, cost in zip(self.flow, self.cost))
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return f"FlowNetwork(nodes={self.num_nodes}, edges={self.num_edges})"

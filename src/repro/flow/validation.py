@@ -1,9 +1,8 @@
 """Validation helpers for flows.
 
 These are used both by the test suite (as invariants for property-based
-testing of the solvers) and by :mod:`repro.core.gap`, which asserts that the
-half-integral flow it derives from the Figure-2 network is feasible before
-doubling it into the final 0/1 assignment.
+testing of the solver) and by the GAP benchmark scenario, which asserts that
+the flow it reads back from the Figure-2 network is feasible.
 """
 
 from __future__ import annotations
@@ -26,17 +25,14 @@ def flow_conservation_violations(
     stored flow conserves mass everywhere it should.
     """
     imbalance = [0.0] * net.num_nodes
-    for edge in net.edges():
-        flow = net.flow_on(edge.edge_id)
-        imbalance[edge.tail] -= flow
-        imbalance[edge.head] += flow
-    violations: dict[int, float] = {}
-    for node in range(net.num_nodes):
-        if node in (source, sink):
-            continue
-        if abs(imbalance[node]) > tol:
-            violations[node] = imbalance[node]
-    return violations
+    for tail, head, flow in zip(net.tail, net.head, net.flow):
+        imbalance[tail] -= flow
+        imbalance[head] += flow
+    return {
+        node: excess
+        for node, excess in enumerate(imbalance)
+        if node not in (source, sink) and abs(excess) > tol
+    }
 
 
 def is_feasible_flow(
@@ -46,11 +42,11 @@ def is_feasible_flow(
     tol: float = _DEFAULT_TOL,
 ) -> bool:
     """Whether the stored flow respects capacities and conservation."""
-    for edge in net.edges():
-        flow = net.flow_on(edge.edge_id)
-        if flow < -tol or flow > edge.capacity + tol:
-            return False
-    return not flow_conservation_violations(net, source, sink, tol)
+    try:
+        assert_feasible_flow(net, source, sink, tol)
+    except AssertionError:
+        return False
+    return True
 
 
 def assert_feasible_flow(
@@ -60,12 +56,11 @@ def assert_feasible_flow(
     tol: float = _DEFAULT_TOL,
 ) -> None:
     """Raise ``AssertionError`` with a diagnostic message if the flow is infeasible."""
-    for edge in net.edges():
-        flow = net.flow_on(edge.edge_id)
-        if flow < -tol or flow > edge.capacity + tol:
+    for edge_id, (flow, capacity) in enumerate(zip(net.flow, net.capacity)):
+        if flow < -tol or flow > capacity + tol:
             raise AssertionError(
-                f"edge {edge.edge_id} ({edge.tail}->{edge.head}) carries {flow} "
-                f"but has capacity {edge.capacity}"
+                f"edge {edge_id} ({net.tail[edge_id]}->{net.head[edge_id]}) carries "
+                f"{flow} but has capacity {capacity}"
             )
     violations = flow_conservation_violations(net, source, sink, tol)
     if violations:

@@ -71,7 +71,7 @@ class TestPipeline:
         for demand in small_random_problem.demands:
             assert report.solution.weight_satisfaction(demand) >= 0.25 - 1e-9
         assert report.solution.max_fanout_factor() <= 4.0 + 1e-9
-        assert report.cost_ratio <= 2.0 * report.rounded.multiplier + 1e-9
+        assert report.cost_ratio <= 2.0 * report.multiplier + 1e-9
 
     def test_no_retry_single_attempt(self, tiny_problem):
         params = DesignParameters(retry_rounding=False, seed=2)

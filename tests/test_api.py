@@ -8,7 +8,9 @@ across ``jobs``, and the ``repro.__all__`` API-surface snapshot.
 
 from __future__ import annotations
 
+import gc
 import json
+import types
 
 import pytest
 
@@ -30,6 +32,7 @@ from repro.api import (
     request_to_dict,
     result_from_dict,
     result_to_dict,
+    run_request,
 )
 from repro.api.registry import _REGISTRY
 from repro.baselines import (
@@ -42,6 +45,8 @@ from repro.baselines import (
 )
 from repro.core.algorithm import DesignParameters, design_overlay
 from repro.core.extensions import color_constrained_parameters, design_overlay_extended
+from repro.core.gap import GapResult
+from repro.core.lp_solution import FractionalSolution, RoundedSolution
 from repro.core.rounding import RoundingParameters
 from repro.core.serialization import problem_to_dict
 from repro.workloads.tiny import build_tiny_problem
@@ -60,6 +65,10 @@ EXPECTED_STRATEGIES = [
     "milp-exact",
     "lp-bound",
 ]
+
+
+#: Objects whose references lead out of a result into shared module state.
+_OPAQUE = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
 
 
 @pytest.fixture
@@ -301,6 +310,24 @@ class TestPipeline:
         ]
         with pytest.raises(KeyError, match="no stage named 'nope'"):
             pipeline.with_stage("nope", RoundStage())
+
+    @pytest.mark.parametrize("strategy", ["spaa03", "spaa03-extended"])
+    def test_result_pins_no_pipeline_intermediates(self, problem, strategy):
+        result = run_request(
+            DesignRequest(problem=problem, parameters=DesignParameters(seed=0), strategy=strategy)
+        )
+        assert result.report.lp_lower_bound == result.lower_bound
+        assert result.report.multiplier == result.metadata["multiplier"]
+        intermediates = (FractionalSolution, RoundedSolution, GapResult)
+        seen: set[int] = set()
+        stack: list = [result]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, _OPAQUE):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, intermediates), f"result pins {type(obj).__name__}"
+            stack.extend(gc.get_referents(obj))
 
     def test_report_matches_design_overlay(self, problem):
         parameters = DesignParameters(seed=5)

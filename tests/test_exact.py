@@ -54,7 +54,7 @@ class TestExactDesign:
             problem, DesignParameters(seed=0, repair_shortfall=True)
         )
         ratio = report.solution.total_cost() / exact.optimal_cost
-        assert ratio <= 2.0 * report.rounded.multiplier + 1e-9
+        assert ratio <= 2.0 * report.multiplier + 1e-9
 
     def test_respects_known_optimum_on_handcrafted_instance(self):
         problem = OverlayDesignProblem()

@@ -9,7 +9,7 @@ from repro.flow import (
     assert_feasible_flow,
     flow_conservation_violations,
     is_feasible_flow,
-    max_flow,
+    min_cost_max_flow,
 )
 
 
@@ -17,7 +17,7 @@ def _path_network() -> tuple[FlowNetwork, int, int, int, int]:
     net = FlowNetwork()
     s, a, t = net.add_node(), net.add_node(), net.add_node()
     e1 = net.add_edge(s, a, capacity=2.0)
-    e2 = net.add_edge(a, t, capacity=2.0)
+    net.add_edge(a, t, capacity=2.0)
     return net, s, a, t, e1
 
 
@@ -29,13 +29,13 @@ class TestValidation:
 
     def test_solved_flow_is_feasible(self):
         net, s, _a, t, _e1 = _path_network()
-        max_flow(net, s, t)
+        min_cost_max_flow(net, s, t)
         assert is_feasible_flow(net, s, t)
         assert_feasible_flow(net, s, t)
 
     def test_conservation_violation_detected(self):
         net, s, a, t, e1 = _path_network()
-        net._push(e1, 1.5)  # push into 'a' without pushing out
+        net.flow[e1] = 1.5  # flow into 'a' without flow out
         violations = flow_conservation_violations(net, s, t)
         assert a in violations
         assert violations[a] == pytest.approx(1.5)
@@ -47,16 +47,14 @@ class TestValidation:
         net = FlowNetwork()
         s, t = net.add_node(), net.add_node()
         edge = net.add_edge(s, t, capacity=1.0)
-        # Force an over-capacity flow by pushing twice directly.
-        net._arc_cap[edge] = -0.5
-        net._arc_cap[edge ^ 1] = 1.5
+        net.flow[edge] = 1.5
         assert not is_feasible_flow(net, s, t)
         with pytest.raises(AssertionError):
             assert_feasible_flow(net, s, t)
 
     def test_terminals_excluded_from_conservation(self):
         net, s, _a, t, _e1 = _path_network()
-        max_flow(net, s, t)
+        min_cost_max_flow(net, s, t)
         # Source/sink imbalance is expected and must not be flagged.
         assert s not in flow_conservation_violations(net, s, t)
         assert t not in flow_conservation_violations(net, s, t)

@@ -80,19 +80,20 @@ class TestGapNetworkStructure:
     def test_network_levels_and_capacities(self, tiny_problem, rounded_tiny):
         gap = build_gap_network(tiny_problem, rounded_tiny)
         net = gap.network
-        assert net.label_of(gap.source) == "s"
-        assert net.label_of(gap.sink) == "T"
         # Every pair edge has doubled capacity 2; every source->reflector edge 2F.
-        for key, edge_id in gap.pair_edge.items():
-            assert net.edge(edge_id).capacity == pytest.approx(2.0)
-        for edge in net.edges():
-            tail_label = net.label_of(edge.tail)
-            head_label = net.label_of(edge.head)
-            if tail_label == "s":
-                reflector = head_label[1]
-                assert edge.capacity == pytest.approx(2.0 * tiny_problem.fanout(reflector))
-            if head_label == "T":
-                assert edge.capacity == pytest.approx(1.0)
+        reflector_of_node = {}
+        for (reflector, _demand_key), edge_id in gap.pair_edge.items():
+            assert net.capacity[edge_id] == pytest.approx(2.0)
+            reflector_of_node[net.tail[edge_id]] = reflector
+        source_edges = [e for e in range(net.num_edges) if net.tail[e] == gap.source]
+        assert sorted(net.head[e] for e in source_edges) == sorted(reflector_of_node)
+        for edge_id in source_edges:
+            reflector = reflector_of_node[net.head[edge_id]]
+            assert net.capacity[edge_id] == pytest.approx(2.0 * tiny_problem.fanout(reflector))
+        # Box -> T edges are exactly the recorded box edges, capacity 1.
+        sink_edges = [e for e in range(net.num_edges) if net.head[e] == gap.sink]
+        assert sink_edges == gap.box_edges
+        assert all(net.capacity[e] == pytest.approx(1.0) for e in sink_edges)
 
     def test_total_demand_counts_boxes(self, tiny_problem, rounded_tiny):
         gap = build_gap_network(tiny_problem, rounded_tiny)
@@ -102,18 +103,15 @@ class TestGapNetworkStructure:
     def test_pair_edges_connect_only_matching_boxes(self, tiny_problem, rounded_tiny):
         gap = build_gap_network(tiny_problem, rounded_tiny)
         demand_lookup = {d.key: d for d in tiny_problem.demands}
+        box_of_node = {
+            gap.network.tail[edge_id]: box for box, edge_id in zip(gap.boxes, gap.box_edges)
+        }
         for key, edges in gap.pair_box_edges.items():
             reflector, demand_key = key
             weight = tiny_problem.edge_weight(demand_lookup[demand_key], reflector)
             for edge_id in edges:
-                head = gap.network.edge(edge_id).head
-                label = gap.network.label_of(head)
-                assert label[0] == "box" and label[1] == demand_key
-                box = next(
-                    b
-                    for b in gap.boxes
-                    if b.demand_key == demand_key and b.index == label[2]
-                )
+                box = box_of_node[gap.network.head[edge_id]]
+                assert box.demand_key == demand_key
                 assert box.contains(weight)
 
 

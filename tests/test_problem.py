@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.problem import Demand, OverlayDesignProblem
@@ -28,6 +30,34 @@ class TestBuilding:
         problem.add_reflector("r", cost=1.0, fanout=2)
         with pytest.raises(ValueError):
             problem.add_reflector("r", cost=1.0, fanout=2)
+
+    @pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_reflector_cost_rejected(self, cost):
+        problem = OverlayDesignProblem()
+        with pytest.raises(ValueError, match="reflector cost"):
+            problem.add_reflector("r", cost=cost, fanout=2)
+
+    @pytest.mark.parametrize("fanout", [2.7, 0.5, math.inf, math.nan, 0, -3])
+    def test_bad_reflector_fanout_rejected(self, fanout):
+        problem = OverlayDesignProblem()
+        with pytest.raises(ValueError, match="fanout"):
+            problem.add_reflector("r", cost=1.0, fanout=fanout)
+
+    def test_integral_float_fanout_accepted(self):
+        problem = OverlayDesignProblem()
+        problem.add_reflector("r", cost=1.0, fanout=3.0)
+        assert problem.fanout("r") == 3
+
+    @pytest.mark.parametrize("cost", [math.nan, math.inf, -1.0])
+    def test_bad_edge_costs_rejected(self, cost):
+        problem = OverlayDesignProblem()
+        problem.add_stream("s")
+        problem.add_reflector("r", cost=1.0, fanout=2)
+        problem.add_sink("d")
+        with pytest.raises(ValueError, match="edge cost"):
+            problem.add_stream_edge("s", "r", loss_probability=0.1, cost=cost)
+        with pytest.raises(ValueError, match="edge cost"):
+            problem.add_delivery_edge("r", "d", loss_probability=0.1, cost=cost)
 
     def test_duplicate_sink_rejected(self):
         problem = OverlayDesignProblem()
