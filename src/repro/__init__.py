@@ -85,11 +85,7 @@ from repro.core.algorithm import (
     repair_weight_shortfalls,
 )
 from repro.core.extensions import design_overlay_extended
-from repro.core.formulation import (
-    ExtensionOptions,
-    build_formulation,
-    build_sparse_formulation,
-)
+from repro.core.formulation import ExtensionOptions, build_sparse_formulation
 from repro.core.problem import Demand, DeliveryEdge, OverlayDesignProblem, StreamEdge
 from repro.core.rounding import RoundingParameters
 from repro.core.solution import OverlaySolution
@@ -125,7 +121,6 @@ __all__ = [
     "RoundingParameters",
     "StreamEdge",
     "apply_delta",
-    "build_formulation",
     "build_sparse_formulation",
     "design_batch",
     "design_incremental",

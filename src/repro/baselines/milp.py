@@ -34,9 +34,7 @@ from repro.core.formulation import ExtensionOptions, build_sparse_formulation
 from repro.core.problem import OverlayDesignProblem
 from repro.core.solution import OverlaySolution
 from repro.lp import LPStatus, SolveOptions, get_backend, solve_compiled
-from repro.lp.model import CompiledLP
-from repro.lp.sparse import BlockStats
-from repro.lp.expr import Sense
+from repro.lp.sparse import BlockStats, CompiledLP, Sense
 
 
 @dataclass
@@ -161,7 +159,6 @@ def _with_symmetry_rows(
         b_eq=compiled.b_eq,
         bounds=compiled.bounds,
         objective_sign=compiled.objective_sign,
-        objective_constant=compiled.objective_constant,
     )
     return extended, len(rows)
 

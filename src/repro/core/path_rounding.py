@@ -50,7 +50,7 @@ import numpy as np
 from repro.core.gap import WeightBox, build_boxes_for_demand
 from repro.core.lp_solution import AssignmentKey, RoundedSolution
 from repro.core.problem import OverlayDesignProblem
-from repro.lp import LinearExpr, LinearProgram, Objective, solve_lp
+from repro.lp import Sense, SparseLPBuilder, solve_compiled
 
 _MASS_TOL = 1e-12
 
@@ -196,57 +196,65 @@ def _solve_path_lp(
 
     Returns the per-path fractional values and the LP objective.
     """
-    model = LinearProgram(name="gap-path-lp", objective_sense=Objective.MINIMIZE)
-    variables = [model.add_variable(name=f"y[{idx}]", lower=0.0, upper=1.0) for idx in range(len(paths))]
+    builder = SparseLPBuilder(name="gap-path-lp")
+    cols = builder.add_variables(len(paths), 0.0, 1.0, name="y")
+
+    def add_rows(name: str, groups: list[list[int]], rhs, sense: Sense) -> None:
+        # One row per group of path indices, coefficient 1 on each member.
+        members = np.array([i for idxs in groups for i in idxs], dtype=np.int64)
+        builder.add_block(
+            name,
+            np.repeat(np.arange(len(groups)), [len(idxs) for idxs in groups]),
+            cols[members],
+            np.ones(members.size),
+            rhs,
+            sense,
+        )
 
     # (ii) one unit of flow per box.
     by_box: dict[tuple[tuple[str, str], int], list[int]] = {}
     for idx, path in enumerate(paths):
         by_box.setdefault((path.key[1], path.box_index), []).append(idx)
-    for (demand_key, box_index), idxs in by_box.items():
-        expr = LinearExpr.sum(variables[i] for i in idxs)
-        model.add_constraint(expr.equals(1.0), name=f"(ii)[{demand_key},{box_index}]")
+    add_rows("(ii) box", list(by_box.values()), np.ones(len(by_box)), Sense.EQ)
 
     # (i) pair-edge capacities: each pair may carry at most 2 half-unit paths.
     by_pair: dict[AssignmentKey, list[int]] = {}
     for idx, path in enumerate(paths):
         by_pair.setdefault(path.key, []).append(idx)
-    for key, idxs in by_pair.items():
-        expr = LinearExpr.sum(variables[i] for i in idxs)
-        model.add_constraint(expr <= 2.0, name=f"(i)pair[{key}]")
+    add_rows("(i) pair", list(by_pair.values()), np.full(len(by_pair), 2.0), Sense.LE)
 
     # (i) reflector fanout: at most 2 * F_i half-unit paths per reflector.
     by_reflector: dict[str, list[int]] = {}
     for idx, path in enumerate(paths):
         by_reflector.setdefault(path.key[0], []).append(idx)
-    for reflector, idxs in by_reflector.items():
-        expr = LinearExpr.sum(variables[i] for i in idxs)
-        model.add_constraint(
-            expr <= 2.0 * problem.fanout(reflector), name=f"(i)fanout[{reflector}]"
-        )
+    add_rows(
+        "(i) fanout",
+        list(by_reflector.values()),
+        [2.0 * problem.fanout(reflector) for reflector in by_reflector],
+        Sense.LE,
+    )
 
     # (iii) entangled sets: capacity in assignment units -> 2x in half units.
+    entangled_rows: list[list[int]] = []
+    entangled_rhs: list[float] = []
     for entangled in entangled_sets:
         idxs = [i for i, path in enumerate(paths) if path.key in entangled.keys]
-        if not idxs:
-            continue
-        expr = LinearExpr.sum(variables[i] for i in idxs)
-        model.add_constraint(expr <= 2.0 * entangled.capacity, name=f"(iii)[{entangled.name}]")
+        if idxs:
+            entangled_rows.append(idxs)
+            entangled_rhs.append(2.0 * entangled.capacity)
+    add_rows("(iii) entangled", entangled_rows, entangled_rhs, Sense.LE)
 
     # Objective (iv is folded into the objective: minimize total path cost).
-    objective = LinearExpr.weighted_sum(
-        (path.cost / 2.0, variables[idx]) for idx, path in enumerate(paths)
-    )
-    model.set_objective(objective)
+    builder.add_objective_terms(cols, [path.cost / 2.0 for path in paths])
 
-    solution = solve_lp(model)
+    compiled, stats = builder.build()
+    solution = solve_compiled(compiled, stats=stats)
     if not solution.is_optimal:
         raise ValueError(
             "path LP infeasible -- the extension constraints are too tight for "
             f"the rounded support ({solution.status.value})"
         )
-    values = np.array([solution.value(var) for var in variables])
-    return values, solution.objective
+    return np.asarray(solution.values, dtype=float), solution.objective
 
 
 def _measure_violations(

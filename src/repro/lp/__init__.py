@@ -1,40 +1,29 @@
 """Linear-programming substrate.
 
 The SPAA'03 overlay-design algorithm begins by solving the LP relaxation of
-the integer program of Section 2.  This subpackage provides a small,
-self-contained LP *modeling* layer (variables, linear expressions, linear
-constraints, objective) and a solver backend that compiles the model to the
-sparse matrix form expected by :func:`scipy.optimize.linprog` (HiGHS).
+the integer program of Section 2.  This subpackage is the one LP modeling
+layer: :class:`SparseLPBuilder` (:mod:`repro.lp.sparse`) assembles a model
+as batched numpy constraint blocks -- one call per constraint *family*, so
+the ``O(|S|·|R|·|D|)`` Section-2 variables are assembled in a handful of
+array operations -- and compiles it to the sparse matrix form of
+:class:`CompiledLP`.
 
-Two build paths share one solver backend:
-
-* the *expression-tree* layer (:mod:`repro.lp.expr` / :mod:`repro.lp.model`)
-  builds one Python object per variable and constraint so the formulation
-  code in :mod:`repro.core.formulation` reads like the paper's IP -- this is
-  the teaching / compatibility surface;
-* the *vectorized sparse* layer (:mod:`repro.lp.sparse`) assembles the same
-  matrices as batched numpy blocks, which is what the production pipeline
-  uses (``O(|S|·|R|·|D|)`` variables are assembled in a handful of array
-  operations instead of millions of dict updates).
-
-Both compile to the same :class:`~repro.lp.model.CompiledLP` structure and
-are solved by :func:`solve_compiled`, which dispatches to a *registered
-solver backend* (:mod:`repro.lp.backends`): ``"highs"`` (scipy ``linprog``,
-the LP default), ``"highs-mip"`` (scipy ``milp``, exact MILP), and an
-optional ``"gurobi"`` backend that is gracefully absent unless ``gurobipy``
-is installed.
+:func:`solve_compiled` solves a compiled model through a *registered solver
+backend* (:mod:`repro.lp.backends`): ``"highs"`` (scipy ``linprog``, the LP
+default), ``"highs-mip"`` (scipy ``milp``, exact MILP), and an optional
+``"gurobi"`` backend that is gracefully absent unless ``gurobipy`` is
+installed.
 
 Public API
 ----------
-``LinearProgram``    -- model container (variables, constraints, objective).
-``Variable``         -- decision variable handle; supports arithmetic.
-``LinearExpr``       -- affine expression over variables.
-``Constraint``       -- linear constraint (<=, >=, ==).
 ``SparseLPBuilder``  -- vectorized batched-block model builder.
 ``VariableArena``    -- vectorized variable-index allocator.
-``LPBuildStats``     -- timing/size report of a sparse assembly.
-``solve_lp``         -- solve a ``LinearProgram``, returning an ``LPSolution``.
-``solve_compiled``   -- solve an already-compiled matrix-form LP.
+``Sense``            -- constraint sense of a block (<=, >=, ==).
+``Objective``        -- optimization direction.
+``CompiledLP``       -- matrix form of a built model.
+``LPBuildStats``     -- timing/size report of an assembly.
+``BlockStats``       -- size of one constraint family.
+``solve_compiled``   -- solve a compiled LP, returning an ``LPSolution``.
 ``LPSolution``       -- status, objective value, per-variable values.
 ``LPStatus``         -- enum of solver outcomes.
 ``SolverBackend``    -- backend protocol (``name`` + ``solve``).
@@ -56,18 +45,21 @@ from repro.lp.backends import (
     register_backend,
     registered_backends,
 )
-from repro.lp.expr import Constraint, LinearExpr, Sense, Variable
-from repro.lp.model import CompiledLP, LinearProgram, Objective
 from repro.lp.result import LPSolution, LPStatus
-from repro.lp.sparse import BlockStats, LPBuildStats, SparseLPBuilder, VariableArena
-from repro.lp.solver import solve_compiled, solve_lp
+from repro.lp.solver import solve_compiled
+from repro.lp.sparse import (
+    BlockStats,
+    CompiledLP,
+    LPBuildStats,
+    Objective,
+    Sense,
+    SparseLPBuilder,
+    VariableArena,
+)
 
 __all__ = [
     "BlockStats",
     "CompiledLP",
-    "Constraint",
-    "LinearExpr",
-    "LinearProgram",
     "LPBuildStats",
     "LPSolution",
     "LPStatus",
@@ -77,13 +69,11 @@ __all__ = [
     "SolverBackend",
     "SolverError",
     "SparseLPBuilder",
-    "Variable",
     "VariableArena",
     "available_backend_names",
     "backend_names",
     "get_backend",
     "register_backend",
     "registered_backends",
-    "solve_lp",
     "solve_compiled",
 ]

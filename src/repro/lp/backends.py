@@ -14,7 +14,7 @@ Three backends ship:
     Pure LP -- requesting integrality raises :class:`SolverError`.
 ``"highs-mip"``
     :func:`scipy.optimize.milp` (HiGHS branch-and-cut) over the same
-    :class:`~repro.lp.model.CompiledLP` blocks.  Solves mixed-integer
+    :class:`~repro.lp.sparse.CompiledLP` blocks.  Solves mixed-integer
     programs exactly and surfaces MIP diagnostics (gap, dual bound, node
     count); also solves pure LPs, making it a drop-in exact backend.
 ``"gurobi"``
@@ -37,8 +37,8 @@ from typing import Callable, Protocol, runtime_checkable
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from repro.lp.model import CompiledLP
 from repro.lp.result import LPSolution, LPStatus
+from repro.lp.sparse import CompiledLP
 
 
 class SolverError(RuntimeError):
@@ -168,8 +168,8 @@ def _empty_solution() -> LPSolution:
 
 def _finish(compiled: CompiledLP, fun: float) -> float:
     # scipy always minimizes compiled.c @ x; undo the sign flip for
-    # maximization models and re-add the constant term.
-    return compiled.objective_sign * float(fun) + compiled.objective_constant
+    # maximization models.
+    return compiled.objective_sign * float(fun)
 
 
 @register_backend
@@ -250,11 +250,7 @@ def _compiled_to_milp_args(compiled: CompiledLP) -> tuple[list[LinearConstraint]
         constraints.append(LinearConstraint(compiled.A_ub, -np.inf, compiled.b_ub))
     if compiled.A_eq is not None:
         constraints.append(LinearConstraint(compiled.A_eq, compiled.b_eq, compiled.b_eq))
-    lowers = np.array([lo for lo, _ in compiled.bounds], dtype=float)
-    uppers = np.array(
-        [np.inf if hi is None else hi for _, hi in compiled.bounds], dtype=float
-    )
-    return constraints, Bounds(lowers, uppers)
+    return constraints, Bounds(compiled.bounds[:, 0], compiled.bounds[:, 1])
 
 
 @register_backend
@@ -384,11 +380,8 @@ class GurobiBackend:
         integrality = options.integrality
         if integrality is None:
             integrality = np.zeros(n, dtype=np.int8)
-        lowers = np.array([lo for lo, _ in compiled.bounds], dtype=float)
-        uppers = np.array(
-            [gp.GRB.INFINITY if hi is None else hi for _, hi in compiled.bounds],
-            dtype=float,
-        )
+        bounds = np.clip(compiled.bounds, -gp.GRB.INFINITY, gp.GRB.INFINITY)
+        lowers, uppers = bounds[:, 0], bounds[:, 1]
         vtypes = np.where(
             np.asarray(integrality) > 0, gp.GRB.INTEGER, gp.GRB.CONTINUOUS
         ).tolist()

@@ -1,12 +1,9 @@
 """Vectorized sparse LP assembly: variable arena + batched constraint blocks.
 
-The expression-tree layer in :mod:`repro.lp.model` builds one Python object
-per variable and per constraint, which is the right teaching surface for the
-Section-2 IP but dominates the pipeline's runtime on large instances (the
-Section-2 LP has ``O(|S|·|R|·|D|)`` variables).  This module is the fast
-path: models are assembled as flat numpy arrays and handed to scipy's HiGHS
-backend as :class:`~repro.lp.model.CompiledLP` matrices without ever
-materializing per-variable or per-constraint objects.
+This is the only way :mod:`repro` builds an LP.  The Section-2 LP has
+``O(|S|·|R|·|D|)`` variables, so models are assembled as flat numpy arrays
+and handed to the solver backends as :class:`CompiledLP` matrices without
+ever materializing per-variable or per-constraint objects.
 
 Two pieces:
 
@@ -24,21 +21,53 @@ Two pieces:
     concatenates the blocks into CSR matrices and reports an
     :class:`LPBuildStats` describing what was built and how long it took.
 
-The produced :class:`~repro.lp.model.CompiledLP` is exactly the structure the
-expression path compiles to, so both paths share
-:func:`repro.lp.solver.solve_compiled` and solve identically.
+The produced :class:`CompiledLP` is solved by
+:func:`repro.lp.solver.solve_compiled`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from enum import Enum
 
 import numpy as np
 from scipy import sparse
 
-from repro.lp.expr import Sense
-from repro.lp.model import CompiledLP, Objective
+
+class Sense(Enum):
+    """Constraint sense."""
+
+    LE = "<="
+    GE = ">="
+    EQ = "=="
+
+
+class Objective(Enum):
+    """Optimization direction."""
+
+    MINIMIZE = "min"
+    MAXIMIZE = "max"
+
+
+@dataclass
+class CompiledLP:
+    """Matrix form of a model, ready for the solver backends.
+
+    ``A_ub x <= b_ub`` and ``A_eq x == b_eq``; ``c`` is always a minimization
+    objective (maximization models are negated by
+    :meth:`SparseLPBuilder.build` and the objective value is flipped back by
+    the solver backend through ``objective_sign``).  ``bounds`` is an
+    ``(n, 2)`` array of ``[lower, upper]`` (``np.inf`` = unbounded).
+    """
+
+    c: np.ndarray
+    A_ub: sparse.csr_matrix | None
+    b_ub: np.ndarray | None
+    A_eq: sparse.csr_matrix | None
+    b_eq: np.ndarray | None
+    bounds: np.ndarray
+    objective_sign: float
 
 
 @dataclass(frozen=True)
@@ -76,9 +105,6 @@ class LPBuildStats:
         building the CSR matrices.
     blocks:
         Per-family :class:`BlockStats`, in the order the blocks were added.
-    backend:
-        Identifier of the build path (``"sparse"`` here; the compatibility
-        layer reports ``"expr"``).
     """
 
     name: str
@@ -89,21 +115,10 @@ class LPBuildStats:
     build_seconds: float
     compile_seconds: float
     blocks: list[BlockStats] = field(default_factory=list)
-    backend: str = "sparse"
 
     @property
     def num_constraints(self) -> int:
         return self.num_inequality_rows + self.num_equality_rows
-
-    def as_dict(self) -> dict:
-        """Flat dict form used by the benchmark tables."""
-        return {
-            "lp_variables": self.num_variables,
-            "lp_constraints": self.num_constraints,
-            "lp_nonzeros": self.num_nonzeros,
-            "build_seconds": self.build_seconds,
-            "backend": self.backend,
-        }
 
 
 class VariableArena:
@@ -140,6 +155,8 @@ class VariableArena:
             raise ValueError(f"variable block size must be non-negative, got {count}")
         lowers = np.broadcast_to(np.asarray(lower, dtype=float), (count,)).copy()
         uppers = np.broadcast_to(np.asarray(upper, dtype=float), (count,)).copy()
+        if np.isnan(lowers).any() or np.isnan(uppers).any():
+            raise ValueError(f"variable block {name!r}: bounds must not be NaN")
         if np.any(uppers < lowers):
             raise ValueError(f"variable block {name!r}: some upper bound < lower bound")
         start = self._count
@@ -191,7 +208,6 @@ class SparseLPBuilder:
         self.arena = VariableArena()
         self._objective_cols: list[np.ndarray] = []
         self._objective_vals: list[np.ndarray] = []
-        self._objective_constant = 0.0
         self._blocks: list[_Block] = []
         self._start_time = time.perf_counter()
 
@@ -219,11 +235,9 @@ class SparseLPBuilder:
             raise ValueError(
                 f"objective cols/coeffs length mismatch: {cols.shape} vs {coeffs.shape}"
             )
+        self._check_columns("objective", cols)
         self._objective_cols.append(cols)
         self._objective_vals.append(coeffs)
-
-    def add_objective_constant(self, constant: float) -> None:
-        self._objective_constant += float(constant)
 
     # ----------------------------------------------------------- constraints
     def add_block(
@@ -262,18 +276,22 @@ class SparseLPBuilder:
                 f"block {name!r}: rows/cols/values must have equal length "
                 f"({rows.shape}, {cols.shape}, {values.shape})"
             )
-        if rhs.size == 0:
-            return
         if rows.size and (rows.min() < 0 or rows.max() >= rhs.size):
             raise ValueError(
                 f"block {name!r}: row indices must lie in [0, {rhs.size}), "
                 f"got [{rows.min()}, {rows.max()}]"
             )
+        self._check_columns(f"block {name!r}", cols)
+        if rhs.size == 0:
+            return
+        self._blocks.append(_Block(name, sense, rows, cols, values, rhs))
+
+    def _check_columns(self, where: str, cols: np.ndarray) -> None:
         if cols.size and (cols.min() < 0 or cols.max() >= self.arena.size):
             raise ValueError(
-                f"block {name!r}: column indices must reference allocated variables"
+                f"{where}: column indices must lie in [0, {self.arena.size}), "
+                f"got [{cols.min()}, {cols.max()}]"
             )
-        self._blocks.append(_Block(name, sense, rows, cols, values, rhs))
 
     # ---------------------------------------------------------------- build
     def build(self) -> tuple[CompiledLP, LPBuildStats]:
@@ -302,7 +320,6 @@ class SparseLPBuilder:
             b_eq=b_eq,
             bounds=bounds,
             objective_sign=sign,
-            objective_constant=self._objective_constant,
         )
         end = time.perf_counter()
         stats = LPBuildStats(
@@ -350,7 +367,10 @@ class SparseLPBuilder:
 
 __all__ = [
     "BlockStats",
+    "CompiledLP",
     "LPBuildStats",
+    "Objective",
+    "Sense",
     "SparseLPBuilder",
     "VariableArena",
 ]

@@ -213,7 +213,6 @@ class TestSerialization:
             parameters=DesignParameters(
                 rounding=RoundingParameters(c=16.0, delta=0.5, seed=9),
                 repair_shortfall=True,
-                lp_backend="expr",
                 max_rounding_attempts=7,
             ),
             strategy="greedy",
@@ -229,6 +228,15 @@ class TestSerialization:
         assert restored.options == {"fanout_slack": 2.0}
         assert restored.parameters == request.parameters
         assert problem_to_dict(restored.problem) == problem_to_dict(problem)
+
+    def test_documents_with_the_retired_lp_backend_key_still_decode(self):
+        from repro.api.types import parameters_from_dict, parameters_to_dict
+
+        document = parameters_to_dict(DesignParameters(seed=4, repair_shortfall=True))
+        assert "lp_backend" not in document
+        for legacy in ("sparse", "expr"):
+            restored = parameters_from_dict({**document, "lp_backend": legacy})
+            assert parameters_to_dict(restored) == document
 
     def test_result_roundtrip_with_stage_timings_and_audit(self, problem):
         request = DesignRequest(
@@ -511,7 +519,6 @@ def test_api_surface_snapshot():
             "RoundingParameters",
             "StreamEdge",
             "apply_delta",
-            "build_formulation",
             "build_sparse_formulation",
             "design_batch",
             "design_incremental",

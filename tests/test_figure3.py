@@ -17,8 +17,9 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
+from test_lp_solver import dense_lp
 
-from repro.lp import LinearExpr, LinearProgram, Objective, solve_lp
+from repro.lp import Objective, Sense, solve_compiled
 
 # The network of Figure 3: s -> {a, p}; a -> {b, q}; p -> q; {b, q} -> t.
 EDGES = {
@@ -55,22 +56,19 @@ def _solve_max_flow(integral: bool) -> float:
             if _feasible(flows):
                 best = max(best, sum(flows))
         return best
-    model = LinearProgram(objective_sense=Objective.MAXIMIZE)
-    path_vars = [model.add_variable(f"p{i}") for i in range(len(PATHS))]
-    for edge, capacity in EDGES.items():
-        expr = LinearExpr.sum(
-            path_vars[i] for i, path in enumerate(PATHS) if edge in path
-        )
-        if expr.coeffs:
-            model.add_constraint(expr <= capacity)
-    entangled_expr = LinearExpr.sum(
-        path_vars[i]
-        for i, path in enumerate(PATHS)
-        if any(edge in path for edge in ENTANGLED)
-    )
-    model.add_constraint(entangled_expr <= ENTANGLED_CAPACITY)
-    model.set_objective(LinearExpr.sum(path_vars))
-    solution = solve_lp(model)
+    return _path_lp_max_flow(with_entangled_set=True)
+
+
+def _path_lp_max_flow(with_entangled_set: bool) -> float:
+    """Fractional max flow of the path LP: one capacity row per edge (+ the set)."""
+    rows = [
+        ([float(edge in path) for path in PATHS], Sense.LE, capacity)
+        for edge, capacity in EDGES.items()
+    ]
+    if with_entangled_set:
+        crosses = [float(any(edge in path for edge in ENTANGLED)) for path in PATHS]
+        rows.append((crosses, Sense.LE, ENTANGLED_CAPACITY))
+    solution = solve_compiled(dense_lp([1.0] * len(PATHS), rows, objective=Objective.MAXIMIZE))
     assert solution.is_optimal
     return solution.objective
 
@@ -111,14 +109,4 @@ class TestFigure3:
 
     def test_without_entangled_constraint_flow_is_four(self):
         """Dropping the set constraint removes the gap (sanity check)."""
-        model = LinearProgram(objective_sense=Objective.MAXIMIZE)
-        path_vars = [model.add_variable(f"p{i}") for i in range(len(PATHS))]
-        for edge, capacity in EDGES.items():
-            expr = LinearExpr.sum(
-                path_vars[i] for i, path in enumerate(PATHS) if edge in path
-            )
-            if expr.coeffs:
-                model.add_constraint(expr <= capacity)
-        model.set_objective(LinearExpr.sum(path_vars))
-        solution = solve_lp(model)
-        assert solution.objective == pytest.approx(4.0, abs=1e-6)
+        assert _path_lp_max_flow(with_entangled_set=False) == pytest.approx(4.0, abs=1e-6)

@@ -2,58 +2,78 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core.formulation import ExtensionOptions, build_formulation
+from repro.core.formulation import (
+    ExtensionOptions,
+    SparseOverlayFormulation,
+    build_sparse_formulation,
+)
 from repro.core.problem import OverlayDesignProblem
 from repro.lp import Sense
 
 
+def families(formulation: SparseOverlayFormulation) -> list[str]:
+    """Paper labels of the emitted constraint families, e.g. ``["(1)", "(2)"]``."""
+    return [block.name.split()[0] for block in formulation.stats.blocks]
+
+
+def family_rows(formulation: SparseOverlayFormulation, label: str):
+    """``(A, b, block)`` of one family in its own sense (``>=`` rows un-negated).
+
+    The formulation has no equality blocks, so every block sits in ``A_ub``
+    in emission order.
+    """
+    offset = 0
+    for block in formulation.stats.blocks:
+        if block.name.split()[0] == label:
+            rows = slice(offset, offset + block.rows)
+            flip = -1.0 if block.sense is Sense.GE else 1.0
+            compiled = formulation.compiled
+            return flip * compiled.A_ub[rows].toarray(), flip * compiled.b_ub[rows], block
+        offset += block.rows
+    raise KeyError(label)
+
+
 class TestFormulationStructure:
     def test_variable_counts(self, tiny_problem):
-        formulation = build_formulation(tiny_problem)
+        formulation = build_sparse_formulation(tiny_problem)
         # z per reflector, y per stream edge, x per (reflector, demand) pair.
-        assert len(formulation.z_vars) == 3
-        assert len(formulation.y_vars) == 3
-        assert len(formulation.x_vars) == 6
+        assert len(formulation.z_keys) == 3
+        assert len(formulation.y_keys) == 3
+        assert len(formulation.x_keys) == 6
         assert formulation.num_variables == 12
+        assert formulation.compiled.bounds.tolist() == [[0.0, 1.0]] * 12
 
     def test_constraint_families_present(self, tiny_problem):
-        formulation = build_formulation(tiny_problem)
-        names = [c.name for c in formulation.model.constraints]
-        assert any(name.startswith("(1)") for name in names)
-        assert any(name.startswith("(2)") for name in names)
-        assert any(name.startswith("(3)") for name in names)
-        assert any(name.startswith("(4)") for name in names)
-        assert any(name.startswith("(5)") for name in names)
+        formulation = build_sparse_formulation(tiny_problem)
+        assert families(formulation) == ["(1)", "(2)", "(3)", "(4)", "(5)"]
+        assert formulation.compiled.A_eq is None
+        assert formulation.num_constraints == sum(block.rows for block in formulation.stats.blocks)
 
     def test_weight_constraints_are_ge(self, tiny_problem):
-        formulation = build_formulation(tiny_problem)
-        weight_constraints = [
-            c for c in formulation.model.constraints if c.name.startswith("(5)")
-        ]
-        assert len(weight_constraints) == tiny_problem.num_demands
-        assert all(c.sense is Sense.GE for c in weight_constraints)
-        for constraint in weight_constraints:
-            assert constraint.rhs > 0
+        formulation = build_sparse_formulation(tiny_problem)
+        _A, rhs, block = family_rows(formulation, "(5)")
+        assert block.rows == tiny_problem.num_demands
+        assert block.sense is Sense.GE
+        assert (rhs > 0).all()
 
     def test_cutting_plane_can_be_dropped(self, tiny_problem):
-        base = build_formulation(tiny_problem)
-        without = build_formulation(tiny_problem, ExtensionOptions(drop_cutting_plane=True))
-        base_names = {c.name for c in base.model.constraints}
-        without_names = {c.name for c in without.model.constraints}
-        assert any(name.startswith("(4)") for name in base_names)
-        assert not any(name.startswith("(4)") for name in without_names)
+        base = build_sparse_formulation(tiny_problem)
+        without = build_sparse_formulation(tiny_problem, ExtensionOptions(drop_cutting_plane=True))
+        assert "(4)" in families(base)
+        assert "(4)" not in families(without)
         assert without.num_constraints < base.num_constraints
 
     def test_weights_cached_consistently(self, tiny_problem):
-        formulation = build_formulation(tiny_problem)
+        formulation = build_sparse_formulation(tiny_problem)
         for (reflector, demand_key), weight in formulation.weights.items():
             demand = next(d for d in tiny_problem.demands if d.key == demand_key)
             assert weight == pytest.approx(tiny_problem.edge_weight(demand, reflector))
 
     def test_assignment_key_queries(self, tiny_problem):
-        formulation = build_formulation(tiny_problem)
+        formulation = build_sparse_formulation(tiny_problem)
         demand = tiny_problem.demands[0]
         keys = formulation.assignment_keys_for_demand(demand)
         assert len(keys) == 3
@@ -61,22 +81,79 @@ class TestFormulationStructure:
         r1_keys = formulation.assignment_keys_for_reflector("r1")
         assert len(r1_keys) == 2
 
+    def test_objective_vector_is_the_paper_costs(self, tiny_problem):
+        formulation = build_sparse_formulation(tiny_problem)
+        edges = {(e.stream, e.reflector): e.cost for e in tiny_problem.stream_edges()}
+        expected = (
+            [tiny_problem.reflector_cost(r) for r in formulation.z_keys]
+            + [edges[key] for key in formulation.y_keys]
+            + [
+                tiny_problem.delivery_cost(reflector, sink, stream)
+                for reflector, (sink, stream) in formulation.x_keys
+            ]
+        )
+        assert formulation.compiled.c.tolist() == pytest.approx(expected)
+
+    def test_y_le_z_rows(self, tiny_problem):
+        formulation = build_sparse_formulation(tiny_problem)
+        A, rhs, block = family_rows(formulation, "(1)")
+        assert block.rows == len(formulation.y_keys) and block.sense is Sense.LE
+        assert (rhs == 0.0).all()
+        z_index = {key: i for i, key in enumerate(formulation.z_keys)}
+        for row, (_stream, reflector) in enumerate(formulation.y_keys):
+            y_index = len(formulation.z_keys) + row
+            assert A[row, y_index] == 1.0
+            assert A[row, z_index[reflector]] == -1.0
+            assert np.count_nonzero(A[row]) == 2
+
+    def test_x_le_y_rows(self, tiny_problem):
+        formulation = build_sparse_formulation(tiny_problem)
+        A, rhs, block = family_rows(formulation, "(2)")
+        assert block.rows == len(formulation.x_keys) and block.sense is Sense.LE
+        assert (rhs == 0.0).all()
+        offset = len(formulation.z_keys)
+        y_index = {key: offset + i for i, key in enumerate(formulation.y_keys)}
+        x_columns = set()
+        for row in range(block.rows):
+            (x_column,) = np.flatnonzero(A[row] == 1.0)
+            (y_column,) = np.flatnonzero(A[row] == -1.0)
+            reflector, (_sink, stream) = formulation.x_keys[x_column - offset - len(y_index)]
+            assert y_column == y_index[stream, reflector]
+            x_columns.add(x_column)
+        assert len(x_columns) == len(formulation.x_keys)
+
+    def test_fanout_rows(self, tiny_problem):
+        formulation = build_sparse_formulation(tiny_problem)
+        A, rhs, block = family_rows(formulation, "(3)")
+        assert block.sense is Sense.LE and (rhs == 0.0).all()
+        first_x = len(formulation.z_keys) + len(formulation.y_keys)
+        for row in range(block.rows):
+            (z_column,) = np.flatnonzero(A[row, :first_x])
+            reflector = formulation.z_keys[z_column]
+            assert A[row, z_column] == -float(tiny_problem.fanout(reflector))
+            served = {
+                formulation.x_keys[column - first_x]
+                for column in np.flatnonzero(A[row, first_x:]) + first_x
+            }
+            assert served == set(formulation.assignment_keys_for_reflector(reflector))
+
     def test_invalid_problem_rejected(self):
         with pytest.raises(ValueError):
-            build_formulation(OverlayDesignProblem())
+            build_sparse_formulation(OverlayDesignProblem())
 
 
 class TestFormulationSolution:
     def test_lp_solves_and_is_feasible(self, tiny_problem):
-        formulation = build_formulation(tiny_problem)
+        formulation = build_sparse_formulation(tiny_problem)
         solution = formulation.solve()
         assert solution.is_optimal
         # Every constraint of the LP is (near) satisfied by the solution.
-        for constraint in formulation.model.constraints:
-            assert constraint.violation(solution.values) <= 1e-6
+        compiled = formulation.compiled
+        assert (compiled.A_ub @ solution.values <= compiled.b_ub + 1e-6).all()
+        assert (solution.values >= -1e-9).all() and (solution.values <= 1.0 + 1e-9).all()
 
     def test_fractional_solution_extraction(self, tiny_problem):
-        formulation = build_formulation(tiny_problem)
+        formulation = build_sparse_formulation(tiny_problem)
         fractional = formulation.fractional_solution(formulation.solve())
         assert fractional.objective > 0
         assert set(fractional.z) == set(tiny_problem.reflectors)
@@ -84,7 +161,7 @@ class TestFormulationSolution:
         assert all(0.0 - 1e-9 <= value <= 1.0 + 1e-9 for value in fractional.x.values())
 
     def test_fractional_weight_constraints_met(self, tiny_problem):
-        formulation = build_formulation(tiny_problem)
+        formulation = build_sparse_formulation(tiny_problem)
         fractional = formulation.fractional_solution(formulation.solve())
         for demand in tiny_problem.demands:
             delivered = sum(
@@ -95,13 +172,13 @@ class TestFormulationSolution:
             assert delivered + 1e-6 >= tiny_problem.demand_weight(demand)
 
     def test_fractional_cost_matches_objective(self, tiny_problem):
-        formulation = build_formulation(tiny_problem)
+        formulation = build_sparse_formulation(tiny_problem)
         fractional = formulation.fractional_solution(formulation.solve())
         assert fractional.cost(tiny_problem) == pytest.approx(fractional.objective, rel=1e-6)
 
     def test_lower_bound_monotone_in_demands(self, tiny_problem):
         """Adding a demand can only increase the LP optimum."""
-        base = build_formulation(tiny_problem).solve().objective
+        base = build_sparse_formulation(tiny_problem).solve().objective
 
         harder = OverlayDesignProblem(name="harder")
         harder.add_stream("s")
@@ -124,7 +201,7 @@ class TestFormulationSolution:
         for demand in tiny_problem.demands:
             harder.add_demand(demand.sink, demand.stream, demand.success_threshold)
         harder.add_demand("d3", "s", success_threshold=0.99)
-        harder_bound = build_formulation(harder).solve().objective
+        harder_bound = build_sparse_formulation(harder).solve().objective
         assert harder_bound >= base - 1e-9
 
     def test_unsolved_extraction_raises_for_infeasible(self):
@@ -135,7 +212,7 @@ class TestFormulationSolution:
         problem.add_stream_edge("s", "r", 0.4, 1.0)
         problem.add_delivery_edge("r", "d", 0.4, 1.0)
         problem.add_demand("d", "s", success_threshold=0.9999)
-        formulation = build_formulation(problem)
+        formulation = build_sparse_formulation(problem)
         lp_solution = formulation.solve()
         assert not lp_solution.is_optimal
         with pytest.raises(ValueError):
@@ -156,15 +233,13 @@ class TestExtensionsInFormulation:
         problem.add_delivery_edge("r", "d2", 0.02, 0.5)
         problem.add_demand("d1", "hd", 0.99)
         problem.add_demand("d2", "hd", 0.99)
-        plain = build_formulation(problem)
-        weighted = build_formulation(problem, ExtensionOptions(use_bandwidth=True))
-        plain_fanout = next(c for c in plain.model.constraints if c.name == "(3)[r]")
-        weighted_fanout = next(c for c in weighted.model.constraints if c.name == "(3)[r]")
+        plain = build_sparse_formulation(problem)
+        weighted = build_sparse_formulation(problem, ExtensionOptions(use_bandwidth=True))
+        plain_fanout, _, _ = family_rows(plain, "(3)")
+        weighted_fanout, _, _ = family_rows(weighted, "(3)")
         # Bandwidth 4 means each assignment consumes 4 units of fanout.
-        plain_coeffs = sorted(plain_fanout.expr.coeffs.values())
-        weighted_coeffs = sorted(weighted_fanout.expr.coeffs.values())
-        assert max(weighted_coeffs) == pytest.approx(4.0)
-        assert max(plain_coeffs) == pytest.approx(1.0)
+        assert weighted_fanout.max() == pytest.approx(4.0)
+        assert plain_fanout.max() == pytest.approx(1.0)
 
     def test_reflector_capacity_constraint_added(self):
         problem = OverlayDesignProblem()
@@ -176,10 +251,13 @@ class TestExtensionsInFormulation:
         problem.add_stream_edge("b", "r", 0.01, 1.0)
         problem.add_delivery_edge("r", "d", 0.02, 0.5)
         problem.add_demand("d", "a", 0.9)
-        formulation = build_formulation(
+        formulation = build_sparse_formulation(
             problem, ExtensionOptions(use_reflector_capacities=True)
         )
-        assert any(c.name.startswith("(8)") for c in formulation.model.constraints)
+        loads, capacity, _ = family_rows(formulation, "(8)")
+        # One row for r: y[a,r] + y[b,r] <= 1.
+        assert capacity.tolist() == [1.0]
+        assert np.count_nonzero(loads) == 2
 
     def test_arc_capacity_constraint_added(self):
         problem = OverlayDesignProblem()
@@ -189,18 +267,16 @@ class TestExtensionsInFormulation:
         problem.add_stream_edge("a", "r", 0.01, 1.0)
         problem.add_delivery_edge("r", "d", 0.02, 0.5, capacity=1.0)
         problem.add_demand("d", "a", 0.9)
-        formulation = build_formulation(problem, ExtensionOptions(use_arc_capacities=True))
-        assert any(c.name.startswith("(7')") for c in formulation.model.constraints)
+        formulation = build_sparse_formulation(problem, ExtensionOptions(use_arc_capacities=True))
+        _, capacity, _ = family_rows(formulation, "(7')")
+        assert capacity.tolist() == [1.0]
 
     def test_color_constraints_added_only_for_multi_member_groups(self, colored_problem):
-        formulation = build_formulation(
+        formulation = build_sparse_formulation(
             colored_problem, ExtensionOptions(use_color_constraints=True)
         )
-        color_constraints = [
-            c for c in formulation.model.constraints if c.name.startswith("(9)")
-        ]
-        assert color_constraints, "expected color constraints on a colored instance"
-        for constraint in color_constraints:
-            assert constraint.sense is Sense.LE
-            assert constraint.rhs == pytest.approx(1.0)
-            assert len(constraint.expr.coeffs) >= 2
+        loads, rhs, block = family_rows(formulation, "(9)")
+        assert block.rows, "expected color constraints on a colored instance"
+        assert block.sense is Sense.LE
+        assert rhs.tolist() == pytest.approx([1.0] * block.rows)
+        assert (np.count_nonzero(loads, axis=1) >= 2).all()

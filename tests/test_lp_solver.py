@@ -1,85 +1,123 @@
-"""Tests for the scipy-backed LP solver (repro.lp.solver)."""
+"""Tests for the LP solver entry point (repro.lp.solver.solve_compiled)."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.lp import LinearExpr, LinearProgram, LPStatus, Objective, solve_lp
+from repro.lp import CompiledLP, LPStatus, Objective, Sense, SparseLPBuilder, solve_compiled
+
+
+def dense_lp(
+    costs,
+    constraints=(),
+    lower=0.0,
+    upper=np.inf,
+    objective: Objective = Objective.MINIMIZE,
+) -> CompiledLP:
+    """A small LP from dense rows; ``constraints`` holds ``(coefficients, sense, rhs)``."""
+    builder = SparseLPBuilder(objective_sense=objective)
+    x = builder.add_variables(len(costs), lower, upper, name="x")
+    builder.add_objective_terms(x, costs)
+    for i, (coefficients, sense, rhs) in enumerate(constraints):
+        coefficients = np.asarray(coefficients, dtype=float)
+        support = np.flatnonzero(coefficients)
+        builder.add_block(
+            f"row{i}",
+            np.zeros(support.size, dtype=np.int64),
+            x[support],
+            coefficients[support],
+            [rhs],
+            sense,
+        )
+    return builder.build()[0]
 
 
 class TestSolveBasics:
     def test_simple_minimization(self):
-        model = LinearProgram()
-        x = model.add_variable("x")
-        y = model.add_variable("y")
-        model.add_constraint(x + y >= 2.0)
-        model.set_objective(3 * x + y)
-        solution = solve_lp(model)
+        # min 3x + y  s.t.  x + y >= 2: the cheapest way to 2 units is all y.
+        solution = solve_compiled(dense_lp([3.0, 1.0], [([1, 1], Sense.GE, 2.0)]))
         assert solution.is_optimal
-        # Cheapest way to reach 2 units is all y.
-        assert solution.value(y) == pytest.approx(2.0, abs=1e-6)
-        assert solution.value(x) == pytest.approx(0.0, abs=1e-6)
+        assert solution.values[1] == pytest.approx(2.0, abs=1e-6)
+        assert solution.values[0] == pytest.approx(0.0, abs=1e-6)
         assert solution.objective == pytest.approx(2.0, abs=1e-6)
 
     def test_simple_maximization(self):
-        model = LinearProgram(objective_sense=Objective.MAXIMIZE)
-        x = model.add_variable("x", upper=4.0)
-        y = model.add_variable("y", upper=3.0)
-        model.add_constraint(x + y <= 5.0)
-        model.set_objective(x + 2 * y)
-        solution = solve_lp(model)
+        solution = solve_compiled(
+            dense_lp(
+                [1.0, 2.0],
+                [([1, 1], Sense.LE, 5.0)],
+                upper=np.array([4.0, 3.0]),
+                objective=Objective.MAXIMIZE,
+            )
+        )
         assert solution.is_optimal
         assert solution.objective == pytest.approx(8.0, abs=1e-6)
-        assert solution.value(y) == pytest.approx(3.0, abs=1e-6)
+        assert solution.values[1] == pytest.approx(3.0, abs=1e-6)
 
     def test_equality_constraints(self):
-        model = LinearProgram()
-        x = model.add_variable("x")
-        y = model.add_variable("y")
-        model.add_constraint((x + y).equals(1.0))
-        model.set_objective(x + 2 * y)
-        solution = solve_lp(model)
+        solution = solve_compiled(dense_lp([1.0, 2.0], [([1, 1], Sense.EQ, 1.0)]))
         assert solution.is_optimal
-        assert solution.value(x) == pytest.approx(1.0, abs=1e-6)
+        assert solution.values[0] == pytest.approx(1.0, abs=1e-6)
 
-    def test_objective_constant_carried_through(self):
-        model = LinearProgram()
-        x = model.add_variable("x", lower=1.0)
-        model.set_objective(x + 100.0)
-        solution = solve_lp(model)
-        assert solution.objective == pytest.approx(101.0, abs=1e-6)
+    def test_lower_bounds_respected(self):
+        # min x + y with x >= 1.5 from its bound and y >= 0.5 from its bound.
+        solution = solve_compiled(dense_lp([1.0, 1.0], lower=np.array([1.5, 0.5])))
+        assert solution.is_optimal
+        assert solution.values.tolist() == pytest.approx([1.5, 0.5], abs=1e-9)
+        assert solution.objective == pytest.approx(2.0, abs=1e-9)
+
+    def test_free_variable(self):
+        # min x  s.t.  x - y == -3,  0 <= y <= 1,  x free: x = -3 at y = 0.
+        solution = solve_compiled(
+            dense_lp(
+                [1.0, 0.0],
+                [([1, -1], Sense.EQ, -3.0)],
+                lower=np.array([-np.inf, 0.0]),
+                upper=np.array([np.inf, 1.0]),
+            )
+        )
+        assert solution.is_optimal
+        assert solution.values[0] == pytest.approx(-3.0, abs=1e-9)
+        assert solution.objective == pytest.approx(-3.0, abs=1e-9)
+
+    def test_mixed_senses(self):
+        # max 3x + 2y  s.t.  x + y <= 4,  x - y >= -1,  x + 3y == 6: x = 3, y = 1.
+        solution = solve_compiled(
+            dense_lp(
+                [3.0, 2.0],
+                [([1, 1], Sense.LE, 4.0), ([1, -1], Sense.GE, -1.0), ([1, 3], Sense.EQ, 6.0)],
+                objective=Objective.MAXIMIZE,
+            )
+        )
+        assert solution.is_optimal
+        assert solution.values.tolist() == pytest.approx([3.0, 1.0], abs=1e-9)
+        assert solution.objective == pytest.approx(11.0, abs=1e-9)
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_objective_is_cost_times_values(self, objective):
+        costs = [2.0, -1.0, 0.5]
+        solution = solve_compiled(
+            dense_lp(costs, [([1, 1, 1], Sense.LE, 2.0)], upper=1.0, objective=objective)
+        )
+        assert solution.is_optimal
+        assert solution.objective == pytest.approx(float(np.dot(costs, solution.values)))
 
     def test_empty_model(self):
-        solution = solve_lp(LinearProgram())
+        solution = solve_compiled(dense_lp([]))
         assert solution.is_optimal
         assert solution.objective == 0.0
-
-    def test_value_map_helper(self):
-        model = LinearProgram()
-        variables = {("a", 1): model.add_variable("v1"), ("b", 2): model.add_variable("v2")}
-        model.add_constraint(variables[("a", 1)] >= 1.5)
-        model.set_objective(LinearExpr.sum(variables.values()))
-        solution = solve_lp(model)
-        mapping = solution.value_map(variables)
-        assert mapping[("a", 1)] == pytest.approx(1.5, abs=1e-6)
-        assert mapping[("b", 2)] == pytest.approx(0.0, abs=1e-6)
+        assert solution.values.size == 0
 
 
 class TestSolveFailures:
     def test_infeasible(self):
-        model = LinearProgram()
-        x = model.add_variable("x", upper=1.0)
-        model.add_constraint(x >= 2.0)
-        model.set_objective(x + 0.0)
-        solution = solve_lp(model)
+        solution = solve_compiled(dense_lp([1.0], [([1], Sense.GE, 2.0)], upper=1.0))
         assert solution.status is LPStatus.INFEASIBLE
         assert not solution.is_optimal
 
     def test_unbounded(self):
-        model = LinearProgram(objective_sense=Objective.MAXIMIZE)
-        x = model.add_variable("x")
-        model.set_objective(x + 0.0)
-        solution = solve_lp(model)
+        solution = solve_compiled(dense_lp([1.0], objective=Objective.MAXIMIZE))
         assert solution.status in (LPStatus.UNBOUNDED, LPStatus.INFEASIBLE)
         assert not solution.is_optimal
 
@@ -97,20 +135,15 @@ class TestAgainstKnownOptima:
             ("p2", "m2"): 1.0,
             ("p2", "m3"): 7.0,
         }
-        model = LinearProgram()
-        ship = {key: model.add_variable(f"ship[{key}]") for key in cost}
-        for plant, cap in supply.items():
-            model.add_constraint(
-                LinearExpr.sum(ship[key] for key in cost if key[0] == plant) <= cap
-            )
-        for market, need in demand.items():
-            model.add_constraint(
-                LinearExpr.sum(ship[key] for key in cost if key[1] == market) >= need
-            )
-        model.set_objective(
-            LinearExpr.weighted_sum((cost[key], ship[key]) for key in cost)
-        )
-        solution = solve_lp(model)
+        lanes = list(cost)
+        rows = [
+            ([float(lane[0] == plant) for lane in lanes], Sense.LE, cap)
+            for plant, cap in supply.items()
+        ] + [
+            ([float(lane[1] == market) for lane in lanes], Sense.GE, need)
+            for market, need in demand.items()
+        ]
+        solution = solve_compiled(dense_lp([cost[lane] for lane in lanes], rows))
         assert solution.is_optimal
         # Optimal plan: p1->m1 5, p1->m3 15, p2->m1 5, p2->m2 25 (cost 125);
         # keeping the expensive p2->m3 lane empty is what makes it optimal.

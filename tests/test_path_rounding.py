@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.formulation import ExtensionOptions, build_formulation
+from repro.core.formulation import ExtensionOptions, build_sparse_formulation
 from repro.core.path_rounding import (
     arc_capacity_entangled_sets,
     color_entangled_sets,
@@ -16,7 +16,7 @@ from repro.core.rounding import RoundingParameters, round_solution
 
 
 def _rounded(problem, options=None, c=64.0, seed=0):
-    formulation = build_formulation(problem, options)
+    formulation = build_sparse_formulation(problem, options)
     fractional = formulation.fractional_solution(formulation.solve()).support()
     return round_solution(problem, fractional, RoundingParameters(c=c, seed=seed))
 
