@@ -224,9 +224,6 @@ class FormulateStage(PipelineStage):
         formulation = None
         if cache is not None:
             formulation = cache.get_formulation(context.problem, parameters)
-            context.metadata["cache_formulate"] = (
-                "miss" if formulation is None else "hit"
-            )
         if formulation is None:
             formulation = build_sparse_formulation(context.problem, parameters.extensions)
             if cache is not None:
@@ -246,11 +243,9 @@ class SolveStage(PipelineStage):
         if cache is not None:
             cached = cache.get_lp(context.problem, context.parameters)
             if cached is not None:
-                context.metadata["cache_solve"] = "hit"
                 context.lp_solution, context.fractional = cached
                 context.stage_seconds["solve_lp"] = time.perf_counter() - start
                 return
-            context.metadata["cache_solve"] = "miss"
         parameters = context.parameters
         options = None
         if context.warm_start is not None:

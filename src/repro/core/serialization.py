@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from operator import itemgetter
 from typing import Any
+
+import numpy as np
 
 from repro.core.problem import OverlayDesignProblem
 from repro.core.solution import OverlaySolution
@@ -25,13 +28,16 @@ FORMAT_VERSION = 1
 
 def problem_to_dict(problem: OverlayDesignProblem) -> dict[str, Any]:
     """Encode a problem as a JSON-compatible dictionary."""
+    streams = problem.streams
+    overrides = problem.delivery_stream_cost_overrides()
+    capacities = problem.arc_capacities()
     return {
         "format_version": FORMAT_VERSION,
         "kind": "overlay-design-problem",
         "name": problem.name,
         "streams": [
             {"name": stream, "bandwidth": problem.stream_bandwidth(stream)}
-            for stream in problem.streams
+            for stream in streams
         ],
         "reflectors": [
             {
@@ -58,23 +64,15 @@ def problem_to_dict(problem: OverlayDesignProblem) -> dict[str, Any]:
             {
                 "reflector": reflector,
                 "sink": sink,
-                "loss_probability": problem.delivery_loss(reflector, sink),
-                "cost": problem.delivery_cost(reflector, sink, problem.streams[0])
-                if problem.streams
-                else 0.0,
-                "stream_costs": {
-                    stream: problem.delivery_cost(reflector, sink, stream)
-                    for stream in problem.streams
-                    if problem.delivery_cost(reflector, sink, stream)
-                    != (
-                        problem.delivery_cost(reflector, sink, problem.streams[0])
-                        if problem.streams
-                        else 0.0
-                    )
-                },
-                "capacity": problem.arc_capacity(reflector, sink),
+                "loss_probability": loss,
+                "cost": cost,
+                "stream_costs": stream_costs,
+                "capacity": capacities.get((reflector, sink)),
             }
-            for reflector, sink in problem.delivery_links()
+            for reflector, sink, loss, base in problem.delivery_link_data()
+            for cost, stream_costs in [
+                _effective_costs(base, overrides.get((reflector, sink)), streams)
+            ]
         ],
         "demands": [
             {
@@ -84,6 +82,25 @@ def problem_to_dict(problem: OverlayDesignProblem) -> dict[str, Any]:
             }
             for demand in problem.demands
         ],
+    }
+
+
+def _effective_costs(
+    base: float, overrides: dict[str, float] | None, streams: list[str]
+) -> tuple[float, dict[str, float]]:
+    """A link's cost for ``streams[0]`` and the stream costs that differ from it.
+
+    This is the link's per-stream cost function in the document's form: the
+    ``cost`` field plus the ``stream_costs`` exceptions.  With no streams the
+    cost is 0.0 (nothing can be carried).
+    """
+    if not streams:
+        return 0.0, {}
+    if not overrides:
+        return base, {}
+    costs = [overrides.get(stream, base) for stream in streams]
+    return costs[0], {
+        stream: cost for stream, cost in zip(streams, costs) if cost != costs[0]
     }
 
 
@@ -217,15 +234,111 @@ def problem_digest(problem: OverlayDesignProblem) -> str:
     sinks, edges, demands) digest identically even if they were built in
     different orders -- which is what makes the digest useful for checking
     delta round-trips (``apply(apply(P, d), invert(d)) == P``).
+
+    Each entity family is sorted once by its unique key and hashed as
+    columns: its names (and colours) as one JSON array, its numbers as one
+    float64 array rounded to 9 places.  A missing capacity is hashed as -1,
+    which no valid capacity (> 0) can be.  A link's per-stream costs enter
+    in the document's form -- the cost for one stream plus the stream costs
+    that differ from it -- but anchored at the name-smallest stream, so the
+    order streams were added in does not matter either.
     """
-    document = problem_to_dict(problem)
-    document.pop("name", None)
-    for key in ("streams", "reflectors", "stream_edges", "delivery_edges", "demands"):
-        document[key] = sorted(
-            document[key], key=lambda entry: json.dumps(entry, sort_keys=True)
-        )
-    document["sinks"] = sorted(document["sinks"])
-    return canonical_digest(document)
+    streams = sorted(problem.streams)
+    overrides = problem.delivery_stream_cost_overrides()
+    capacities = problem.arc_capacities()
+
+    reflectors, sinks, losses, costs = _sorted_columns(problem.delivery_link_data(), 2, 4)
+    if not streams:
+        costs = [0.0] * len(costs)
+    elif overrides:
+        costs = [
+            overrides[key].get(streams[0], cost) if key in overrides else cost
+            for key, cost in zip(zip(reflectors, sinks), costs)
+        ]
+    limits = [-1.0] * len(costs)
+    if capacities:
+        limits = [capacities.get(key, -1.0) for key in zip(reflectors, sinks)]
+    # The stream costs that differ from the link's cost for streams[0],
+    # compared after rounding so a sub-1e-9 override changes nothing.
+    shared = list(overrides) if streams else []
+    effective = np.round(
+        np.array(
+            [[problem.delivery_cost(*key, stream) for stream in streams] for key in shared],
+            dtype=float,
+        ).reshape(len(shared), len(streams)),
+        9,
+    )
+    exceptions = _sorted_columns(
+        [
+            (*shared[row], streams[column], effective[row, column])
+            for row, column in zip(*np.nonzero(effective != effective[:, :1]))
+        ],
+        3,
+        4,
+    )
+    info = sorted(
+        (problem.reflector_info(name) for name in problem.reflectors),
+        key=lambda reflector: reflector.name,
+    )
+    stream_edges = _sorted_columns(
+        [
+            (edge.stream, edge.reflector, edge.loss_probability, edge.cost)
+            for edge in problem.stream_edges()
+        ],
+        2,
+        4,
+    )
+    demands = _sorted_columns(
+        [(demand.sink, demand.stream, demand.success_threshold) for demand in problem.demands],
+        2,
+        3,
+    )
+
+    digest = hashlib.sha256()
+    _hash_columns(digest, b"sinks", [sorted(problem.sinks)], [])
+    _hash_columns(
+        digest, b"streams", [streams], [[problem.stream_bandwidth(k) for k in streams]]
+    )
+    _hash_columns(
+        digest,
+        b"reflectors",
+        [[r.name for r in info], [r.color for r in info]],
+        [
+            [r.cost for r in info],
+            [r.fanout for r in info],
+            [-1.0 if r.capacity is None else r.capacity for r in info],
+        ],
+    )
+    _hash_columns(digest, b"stream_edges", stream_edges[:2], stream_edges[2:])
+    _hash_columns(digest, b"delivery_edges", [reflectors, sinks], [losses, costs, limits])
+    _hash_columns(digest, b"stream_costs", exceptions[:3], exceptions[3:])
+    _hash_columns(digest, b"demands", demands[:2], demands[2:])
+    return digest.hexdigest()[:16]
+
+
+def _sorted_columns(rows: list[tuple], keys: int, width: int) -> list[tuple]:
+    """The ``width`` columns of ``rows`` in the order of their first ``keys`` entries.
+
+    Those entries form a unique key, so this is plain tuple order.  One
+    stable sort per key column, last first, compares single strings
+    instead of tuples and takes about half as long.
+    """
+    for index in reversed(range(keys)):
+        rows.sort(key=itemgetter(index))
+    return list(zip(*rows)) or [()] * width
+
+
+def _hash_columns(digest: Any, tag: bytes, labels: list, numbers: list) -> None:
+    """Feed one key-sorted entity family to ``digest``.
+
+    ``labels`` go in as one JSON array, so no separator inside a name can
+    make two families collide; ``numbers`` as one float64 array rounded to 9
+    places (``+ 0.0`` folds a rounded ``-0.0`` into ``0.0``).  Each part is
+    tagged and prefixed with its length.
+    """
+    values = np.round(np.array(numbers, dtype="<f8"), 9) + 0.0
+    for payload in (json.dumps(labels).encode(), values.tobytes()):
+        digest.update(tag + len(payload).to_bytes(8, "little") + payload)
 
 
 def solution_digest(solution: OverlaySolution) -> str:

@@ -19,7 +19,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.core.problem import Demand, OverlayDesignProblem
-from repro.core.weights import combined_failure_probability, success_from_weight
+from repro.core.weights import (
+    MAX_WEIGHT,
+    combined_failure_probability,
+    failure_to_weight,
+    success_from_weight,
+)
 
 
 @dataclass
@@ -216,22 +221,52 @@ class OverlaySolution:
         return violations
 
     def summary(self) -> dict:
-        """Compact dictionary summary used by reports, examples and benchmarks."""
-        demands = self.problem.demands
-        satisfactions = [self.weight_satisfaction(d) for d in demands]
-        successes = [self.success_probability(d) for d in demands]
+        """Compact dictionary summary used by reports, examples and benchmarks.
+
+        One pass over the demands and one over the assignments.  Each value
+        is bit-identical to what the per-quantity methods
+        (``weight_satisfaction``, ``success_probability``,
+        ``demands_below_threshold``, ``max_fanout_factor``, ...) give, summed
+        in the same order.
+        """
+        problem = self.problem
+        satisfactions = []
+        successes = []
+        unserved = below = 0
+        for demand in problem.demands:
+            # Each path's failure probability feeds both its capped weight
+            # (weight_satisfaction) and the product (success_probability).
+            required = problem.demand_weight(demand)
+            cap = min(MAX_WEIGHT, required)
+            failures = [
+                problem.path_failure(demand, reflector)
+                for reflector in self.assignments.get(demand.key, ())
+            ]
+            delivered = sum(failure_to_weight(failure, cap=cap) for failure in failures)
+            satisfactions.append(delivered / required if required > 0 else 1.0)
+            success = 1.0 - (combined_failure_probability(failures) if failures else 1.0)
+            successes.append(success)
+            unserved += not failures
+            below += success + 1e-12 < demand.success_threshold
+        used: dict[str, int] = {}
+        for reflectors in self.assignments.values():
+            for reflector in reflectors:
+                used[reflector] = used.get(reflector, 0) + 1
         return {
             "total_cost": self.total_cost(),
             "reflectors_built": len(self.built_reflectors),
-            "assignments": sum(len(v) for v in self.assignments.values()),
-            "unserved_demands": len(self.unserved_demands()),
+            "assignments": sum(used.values()),
+            "unserved_demands": unserved,
             "min_weight_satisfaction": min(satisfactions) if satisfactions else 1.0,
             "mean_weight_satisfaction": (
                 sum(satisfactions) / len(satisfactions) if satisfactions else 1.0
             ),
             "min_success_probability": min(successes) if successes else 1.0,
-            "max_fanout_factor": self.max_fanout_factor(),
-            "demands_below_threshold": len(self.demands_below_threshold()),
+            "max_fanout_factor": max(
+                (count / problem.fanout(reflector) for reflector, count in used.items()),
+                default=0.0,
+            ),
+            "demands_below_threshold": below,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience

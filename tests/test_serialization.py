@@ -80,6 +80,67 @@ class TestProblemRoundtrip:
         )
 
 
+def _delivery_edges_by_lookup(problem) -> list[dict]:
+    """The document's delivery edges, looked up link by link and stream by stream."""
+    first = problem.streams[0] if problem.streams else None
+    rows = []
+    for reflector, sink in problem.delivery_links():
+        cost = problem.delivery_cost(reflector, sink, first) if first is not None else 0.0
+        rows.append(
+            {
+                "reflector": reflector,
+                "sink": sink,
+                "loss_probability": problem.delivery_loss(reflector, sink),
+                "cost": cost,
+                "stream_costs": {
+                    stream: problem.delivery_cost(reflector, sink, stream)
+                    for stream in problem.streams
+                    if problem.delivery_cost(reflector, sink, stream) != cost
+                },
+                "capacity": problem.arc_capacity(reflector, sink),
+            }
+        )
+    return rows
+
+
+def _problem_with_overrides():
+    problem = random_problem(
+        RandomInstanceConfig(num_streams=3, num_reflectors=4, num_sinks=5), rng=3
+    )
+    document = problem_to_dict(problem)
+    edges = document["delivery_edges"]
+    # On streams[0] "s0", so every other stream differs from the link's cost.
+    edges[0].update(stream_costs={"s0": 9.5}, capacity=2.0)
+    edges[1].update(stream_costs={"s1": 0.25, "s2": 7.0})
+    # Equal to the base cost: no stream differs.
+    edges[2].update(stream_costs={"s1": edges[2]["cost"]}, capacity=3.0)
+    return problem_from_dict(document)
+
+
+class TestDeliveryEdgeDocument:
+    """Each link's per-stream costs are computed once; the document is unchanged."""
+
+    @pytest.mark.parametrize("workload", ["tiny", "random-mid", "akamai-small"])
+    def test_golden_workloads(self, workload):
+        from test_golden_designs import WORKLOADS
+
+        problem = WORKLOADS[workload]()
+        document = problem_to_dict(problem)
+        assert json.dumps(document["delivery_edges"]) == json.dumps(
+            _delivery_edges_by_lookup(problem)
+        )
+
+    def test_per_stream_overrides(self):
+        problem = _problem_with_overrides()
+        assert problem.delivery_stream_cost_overrides()
+        edges = problem_to_dict(problem)["delivery_edges"]
+        assert edges[0]["stream_costs"]
+        assert json.dumps(edges, sort_keys=True) == json.dumps(
+            _delivery_edges_by_lookup(problem), sort_keys=True
+        )
+        assert json.dumps(edges) == json.dumps(_delivery_edges_by_lookup(problem))
+
+
 class TestSolutionRoundtrip:
     def test_roundtrip(self, tiny_problem, tmp_path):
         solution = OverlaySolution.from_assignments(

@@ -19,6 +19,7 @@ from repro.api import (
     get_designer,
     result_from_dict,
     result_to_dict,
+    run_request,
 )
 from repro.core.algorithm import DesignParameters
 from repro.core.serialization import problem_digest, solution_digest
@@ -32,6 +33,7 @@ from repro.serve import (
     run_request_cached,
 )
 from repro.serve.cache import plan_key, request_digest
+from repro.serve.service import run_self_test
 from repro.workloads.random_instances import RandomInstanceConfig, random_problem
 
 
@@ -214,6 +216,15 @@ class TestRunRequestCached:
         assert second.cache["stages"]["result"] == "hit"
         assert _comparable(first) == _comparable(second)
 
+    def test_cached_run_matches_direct_run(self, problem, parameters):
+        # Stage-cache hits and misses are reported in ``result.cache`` only;
+        # the payload, metadata included, is the direct run's.
+        cache = ArtifactCache()
+        request = DesignRequest(problem=problem, parameters=parameters)
+        direct = _comparable(run_request(request))
+        for _ in range(2):  # stage misses, then a whole-result hit
+            assert _comparable(run_request_cached(request, cache)) == direct
+
     def test_result_entry_carries_document_and_problem_digest(
         self, problem, parameters
     ):
@@ -348,6 +359,12 @@ class TestDesignService:
         service = DesignService()
         with pytest.raises(RuntimeError, match="not started"):
             service.submit(DesignRequest(problem=problem, parameters=parameters))
+
+    def test_self_test_passes(self):
+        """The ``repro serve --self-test`` round trip, as CI runs it."""
+        report = run_self_test(verbose=False)
+        assert report["ok"]
+        assert len(report["checks"]) == 6
 
 
 # ---------------------------------------------------------------------------

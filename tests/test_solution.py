@@ -135,3 +135,51 @@ class TestFanoutAndColors:
             assert key in summary
         assert summary["reflectors_built"] == 2
         assert summary["assignments"] == 3
+
+
+def _summary_by_methods(solution: OverlaySolution) -> dict:
+    """``summary()`` spelled out through the per-quantity methods."""
+    demands = solution.problem.demands
+    satisfactions = [solution.weight_satisfaction(d) for d in demands]
+    successes = [solution.success_probability(d) for d in demands]
+    return {
+        "total_cost": solution.total_cost(),
+        "reflectors_built": len(solution.built_reflectors),
+        "assignments": sum(len(v) for v in solution.assignments.values()),
+        "unserved_demands": len(solution.unserved_demands()),
+        "min_weight_satisfaction": min(satisfactions) if satisfactions else 1.0,
+        "mean_weight_satisfaction": (
+            sum(satisfactions) / len(satisfactions) if satisfactions else 1.0
+        ),
+        "min_success_probability": min(successes) if successes else 1.0,
+        "max_fanout_factor": solution.max_fanout_factor(),
+        "demands_below_threshold": len(solution.demands_below_threshold()),
+    }
+
+
+class TestSummaryMatchesMethods:
+    """``summary()`` is one pass, but bit-identical to the method definitions."""
+
+    @pytest.mark.parametrize("strategy", ["spaa03", "greedy", "random"])
+    @pytest.mark.parametrize("workload", ["random-mid", "akamai-small"])
+    def test_designed_solutions(self, workload, strategy):
+        from repro.api import DesignRequest, run_request
+        from repro.core.algorithm import DesignParameters
+        from test_golden_designs import GOLDEN_SEED, WORKLOADS
+
+        problem = WORKLOADS[workload]()
+        solution = run_request(
+            DesignRequest(
+                problem=problem,
+                parameters=DesignParameters(seed=GOLDEN_SEED),
+                strategy=strategy,
+            )
+        ).solution
+        assert solution.summary() == _summary_by_methods(solution)
+
+    def test_partial_and_empty_solutions(self, tiny_problem, manual_solution):
+        # d1 served twice, d2 once, any further demand unserved.
+        assert manual_solution.summary() == _summary_by_methods(manual_solution)
+        empty = OverlaySolution(problem=tiny_problem)
+        assert empty.summary() == _summary_by_methods(empty)
+        assert empty.summary()["max_fanout_factor"] == 0.0
